@@ -22,7 +22,10 @@ EXIT_PRECONDITION = 3
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_magma(path: str) -> tables.PartialMagma:
@@ -75,34 +78,31 @@ def cmd_embed(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.n
     if args.filter:
-        found = []
-        for m in enumeration.filtered(n, args.filter):
-            found.append(m)
-        if args.up_to_iso:
-            kept = {}
-            for m in found:
-                kept.setdefault(enumeration.canonical_form(m), m)
-            found = [kept[k] for k in sorted(kept)]
-        print(f"{args.filter}: {len(found)}")
-        if args.emit:
-            _emit(found, args.emit)
+        label, found = args.filter, enumeration.filtered(n, args.filter)
+    elif args.up_to_iso or args.emit:
+        label, found = "partial_magmas", enumeration.all_magmas(n)
     else:
-        if args.up_to_iso or args.emit:
-            found = list(enumeration.all_magmas(n))
-            if args.up_to_iso:
-                kept = {}
-                for m in found:
-                    kept.setdefault(enumeration.canonical_form(m), m)
-                found = [kept[k] for k in sorted(kept)]
-            print(f"partial_magmas: {len(found)}")
-            if args.emit:
-                _emit(found, args.emit)
-        else:
-            counts = enumeration.count_by_class(n)
-            print(f"partial_magmas: {counts['partial_magmas']}")
-            for name in VERDICT_NAMES:
-                print(f"{name}: {counts[name]}")
+        counts = enumeration.count_by_class(n)
+        print(f"partial_magmas: {counts['partial_magmas']}")
+        for name in VERDICT_NAMES:
+            print(f"{name}: {counts[name]}")
+        return EXIT_OK
+    found = _representatives(found) if args.up_to_iso else list(found)
+    print(f"{label}: {len(found)}")
+    if args.emit:
+        _emit(found, args.emit)
     return EXIT_OK
+
+
+def _representatives(magmas) -> list:
+    """One magma per isomorphism class, in canonical-form order.
+
+    Each class is represented by its first magma in the stream.
+    """
+    kept = {}
+    for m in magmas:
+        kept.setdefault(enumeration.canonical_form(m), m)
+    return [kept[k] for k in sorted(kept)]
 
 
 def _emit(found, directory: str) -> None:

@@ -2,11 +2,20 @@
 
 Tables on n elements are encoded flat: a tuple of n*n entries in
 ``range(n + 1)``, where ``n`` stands for an undefined cell; the
-all-undefined table is excluded.  ``filtered`` prunes the search tree
-on definite one-sided associativity violations, which is sound for
-every verdict class except ``total`` (all the others imply the
-right-directed triple law); the survivors are still run through the
-real checkers.
+all-undefined table is excluded.  ``filtered`` assigns cells in row-major
+order and drops a value as soon as a law the requested class implies is
+definitely broken:
+
+- the one-sided triple law, for every class except ``total`` (all the
+  others are right-directed semigroupoids);
+- the two-sided triple law, for the classes that imply ``semigroupoid``
+  (semigroupoid, poloid, groupoid, monoid, group);
+- a local right unit, for the classes that imply ``right_poloid``
+  (poloid, groupoid, monoid, group, right_poloid, normal, unit_posetal):
+  x.phi_x = x, so a completed row x must contain x.
+
+Only the triples that read the newly assigned cell are checked.  The
+survivors are still run through the real checkers.
 """
 
 from __future__ import annotations
@@ -38,6 +47,12 @@ FILTERED_BOUND = 4
 
 # classes whose members are always right-directed semigroupoids
 _RD_CLASSES = frozenset(VERDICT_NAMES) - {"total"}
+# ... always semigroupoids, so the two-sided triple law holds
+_SEMIGROUPOID_CLASSES = frozenset({"semigroupoid", "poloid", "groupoid", "monoid", "group"})
+# ... always right poloids, so every x has a local right unit: x.phi_x = x
+_RIGHT_POLOID_CLASSES = frozenset(
+    {"poloid", "groupoid", "monoid", "group", "right_poloid", "normal", "unit_posetal"}
+)
 
 _CHECKS = {
     "semigroupoid": is_semigroupoid,
@@ -83,42 +98,57 @@ def all_magmas(n: int, bound: int = RAW_BOUND) -> Iterator[PartialMagma]:
             yield from_flat(flat, n)
 
 
-def _prefix_violates_rd(values: list[int], n: int, undef: int) -> bool:
-    """Definite right-directed-law violation in a partially built table.
+def _triple_broken(values: list[int], n: int, x: int, y: int, z: int, two_sided: bool) -> bool:
+    """Definite triple-law violation at (x, y, z) in a partially built table.
 
-    Cells hold an element index, ``undef``, or ``-1`` for not yet
-    chosen.  Only violations that no later choice can repair count.
+    Cells hold an element index, ``n`` for undefined, or ``-1`` for not
+    yet chosen; only violations that no later choice can repair count.
+    The one-sided law is triggered by xy with yz or (xy)z defined; the
+    two-sided law is also triggered by yz and x(yz) defined.
     """
-    for x in range(n):
-        for y in range(n):
-            xy = values[x * n + y]
-            if xy < 0 or xy == undef:
-                continue
-            for z in range(n):
-                yz = values[y * n + z]
-                wz = values[xy * n + z]
-                if yz == undef:
-                    if wz >= 0 and wz != undef:
-                        return True  # (xy)z defined forces yz defined
-                    continue
-                if yz < 0:
-                    continue
-                # trigger holds: xy and yz defined
-                if wz == undef:
-                    return True
-                xv = values[x * n + yz]
-                if xv == undef:
-                    return True
-                if wz >= 0 and xv >= 0 and wz != xv:
-                    return True
+    xy = values[x * n + y]
+    yz = values[y * n + z]
+    if xy == n:
+        # only the two-sided law's trigger, yz and x(yz) defined, is left
+        return two_sided and 0 <= yz < n and 0 <= values[x * n + yz] < n
+    if xy < 0:
+        return False
+    wz = values[xy * n + z]
+    if yz == n:
+        return 0 <= wz < n  # (xy)z defined forces yz defined
+    if yz < 0:
+        return False
+    # trigger holds: xy and yz defined
+    xv = values[x * n + yz]
+    return wz == n or xv == n or (wz >= 0 and xv >= 0 and wz != xv)
+
+
+def _cell_broken(values: list[int], n: int, k: int, two_sided: bool) -> bool:
+    """Definite violation among the triples that read cell k = (a, b).
+
+    The parent node had none, so a new one must read the new cell: as
+    xy in (a, b, z), as yz in (x, a, b), as (xy)z in the (x, y, b) with
+    xy = a, or as x(yz) in the (a, y, z) with yz = b.
+    """
+    a, b = divmod(k, n)
+    for t in range(n):
+        if _triple_broken(values, n, a, b, t, two_sided):
+            return True
+        if _triple_broken(values, n, t, a, b, two_sided):
+            return True
+    for c, v in enumerate(values):
+        if v == a and _triple_broken(values, n, c // n, c % n, b, two_sided):
+            return True
+        if v == b and _triple_broken(values, n, a, c // n, c % n, two_sided):
+            return True
     return False
 
 
 def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[PartialMagma]:
     """Every partial magma on n elements in the given class.
 
-    Uses the pruned search for classes that imply the right-directed
-    law and a defined-cells-only product space for ``total``.
+    Uses the pruned walk described in the module docstring for every
+    class but ``total``, which is filtered out of :func:`all_magmas`.
     """
     if verdict not in _CHECKS:
         raise ValueError(f"unknown class {verdict!r}")
@@ -138,22 +168,28 @@ def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[Part
                 yield m
         return
 
-    undef = n
+    two_sided = verdict in _SEMIGROUPOID_CLASSES
+    right_unit = verdict in _RIGHT_POLOID_CLASSES
     cells = n * n
     values = [-1] * cells
 
     def walk(k: int) -> Iterator[PartialMagma]:
         if k == cells:
-            if all(v == undef for v in values):
+            if all(v == n for v in values):
                 return
             m = from_flat(tuple(values), n)
             if matches(m, verdict):
                 yield m
             return
+        x, y = divmod(k, n)
+        row_done = right_unit and y == n - 1
         for v in range(n + 1):
             values[k] = v
-            if not _prefix_violates_rd(values, n, undef):
-                yield from walk(k + 1)
+            if row_done and x not in values[k - y:k + 1]:
+                continue  # x.phi_x = x needs x in row x
+            if _cell_broken(values, n, k, two_sided):
+                continue
+            yield from walk(k + 1)
         values[k] = -1
 
     yield from walk(0)
@@ -179,12 +215,11 @@ def canonical_form(m: PartialMagma) -> tuple[int, ...]:
     flat = to_flat(m)
     best = None
     for perm in permutations(range(n)):
-        relabeled = tuple(
-            n if flat[perm.index(x) * n + perm.index(y)] == n
-            else perm[flat[perm.index(x) * n + perm.index(y)]]
-            for x in range(n)
-            for y in range(n)
-        )
+        inv = [0] * n  # inv[x] is the old label of the new element x
+        for old, new in enumerate(perm):
+            inv[new] = old
+        image = perm + (n,)  # relabels a cell value; undefined stays n
+        relabeled = tuple(image[flat[i * n + j]] for i in inv for j in inv)
         if best is None or relabeled < best:
             best = relabeled
     return best

@@ -438,6 +438,8 @@ def parse_map_magma(text: str) -> MapMagma:
             for p in cod:
                 if p not in point_set:
                     raise ParseError(f"cod {name!r}: unknown point {p!r}")
+            if len(set(cod)) != len(cod):
+                raise ParseError(f"cod {name!r}: duplicate point")
             entries[-1] = (name, entries[-1][1], cod)
 
     if not entries:
@@ -456,7 +458,10 @@ def parse_map_magma(text: str) -> MapMagma:
         else:
             members.append(pre)
         names.append(name)
-    return MapMagma(points, tuple(members), mode, tuple(names))
+    try:
+        return MapMagma(points, tuple(members), mode, tuple(names))
+    except ValueError as exc:  # duplicate maps, or codomain mode without codomains
+        raise ParseError(str(exc)) from None
 
 
 def serialize_map_magma(a: MapMagma) -> str:

@@ -73,6 +73,22 @@ class TestClassify:
     def test_bad_file(self, write, capsys):
         assert main(["classify", write("bad.magma", "elements: a a\n")]) == 2
 
+    def test_duplicate_maps_are_a_parse_failure(self, write, capsys):
+        text = "set: 1 2\nmode: supset\nmap f: 1->1\nmap g: 1->1\n"
+        assert main(["classify", write("dup.maps", text)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_is_a_parse_failure(self, tmp_path, capsys):
+        path = tmp_path / "latin1.magma"
+        path.write_bytes("elements: \xe9\n\xe9: \xe9\n".encode("latin-1"))
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_codomain_mode_without_cod_lines_is_a_parse_failure(self, write, capsys):
+        text = "set: 1 2\nmode: codomain\nmap f: 1->1\n"
+        assert main(["classify", write("nocod.maps", text)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_golden_text_output(self, write, capsys):
         main(["classify", write("two.magma", TWO_UNIT)])
         out = capsys.readouterr().out

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import permutations
+
 import pytest
 
 from poloids import BoundExceeded, PartialMagma
@@ -53,10 +56,22 @@ class TestFiltered:
             assert pruned == brute.get(name, []), name
 
     def test_agrees_with_brute_force_at_three_elements(self):
-        # the pruned walk must find exactly the brute-force survivors
-        brute = sorted(to_flat(m) for m in all_magmas(3) if matches(m, "right_poloid"))
-        pruned = sorted(to_flat(m) for m in filtered(3, "right_poloid"))
-        assert pruned == brute
+        # the pruned walk must find exactly the brute-force survivors,
+        # in the same order
+        brute = {name: [] for name in VERDICT_NAMES}
+        for m in all_magmas(3):
+            for name in VERDICT_NAMES:
+                if matches(m, name):
+                    brute[name].append(to_flat(m))
+        for name in VERDICT_NAMES:
+            assert [to_flat(m) for m in filtered(3, name)] == brute[name], name
+
+    def test_poloids_and_right_poloids_at_four_elements(self):
+        # poloids are the small categories: 55 with four morphisms
+        for name, labelled, classes in (("poloid", 973, 55), ("right_poloid", 5039, 268)):
+            found = list(filtered(4, name))
+            assert len(found) == labelled, name
+            assert len({canonical_form(m) for m in found}) == classes, name
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
@@ -135,8 +150,28 @@ class TestCanonicalForm:
         for m in list(all_magmas(2))[:30]:
             assert canonical_form(m) <= to_flat(m)
 
+    def test_least_relabelling_at_three_elements(self):
+        rng = random.Random(3)
+        flats = {tuple(rng.randrange(4) for _ in range(9)) for _ in range(300)}
+        flats.discard((3,) * 9)
+        tables = [from_flat(f, 3) for f in sorted(flats)] + list(filtered(3, "poloid"))
+        for m in tables:
+            relabelled = [relabel(m, perm) for perm in permutations(range(3))]
+            form = canonical_form(m)
+            assert form == min(to_flat(r) for r in relabelled)
+            assert all(canonical_form(r) == form for r in relabelled)
+
 
 def self_swap(c):
     if c is None:
         return None
     return 1 - c
+
+
+def relabel(m, perm):
+    """The copy of m in which element i is renamed perm[i]."""
+    table = [[None] * m.size for _ in range(m.size)]
+    for x, row in enumerate(m.table):
+        for y, c in enumerate(row):
+            table[perm[x]][perm[y]] = None if c is None else perm[c]
+    return PartialMagma(m.elements, tuple(map(tuple, table)))

@@ -408,12 +408,16 @@ class TestMapMagmaFiles:
                 "set: 1 2\nmode: supset\nmap f: 1->1\ncod f: 1\nmap g: 2->2\n"
             )
 
+    def test_duplicate_cod_point_rejected(self):
+        with pytest.raises(ParseError):
+            parse_map_magma("set: 1 2\nmode: supset\nmap f: 1->1\ncod f: 1 1\n")
+
     def test_cod_must_cover_image(self):
         with pytest.raises(ParseError):
             parse_map_magma("set: 1 2\nmode: supset\nmap f: 1->2\ncod f: 1\n")
 
     def test_codomain_mode_needs_codomains(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_map_magma("set: 1 2\nmode: codomain\nmap f: 1->1\n")
 
     def test_unknown_mode(self):
@@ -429,5 +433,5 @@ class TestMapMagmaFiles:
             parse_map_magma("set: 1\nmode: supset\nmap f: 1->1\nmap f: 1->1\n")
 
     def test_duplicate_member_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_map_magma("set: 1\nmode: supset\nmap f: 1->1\nmap g: 1->1\n")
