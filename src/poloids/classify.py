@@ -1,5 +1,12 @@
 """Axiom checkers for the partial-magma hierarchy and the combined report.
 
+Every fact about a magma (its units, the two triple laws, the unit maps
+eps and vareps, inverses, phi, normality, the natural preorder) is
+worked out in one place, a private analysis of that magma that computes
+each fact at most once and only when it is first read.  The public
+checkers are views that read one fact from a fresh analysis;
+:func:`classify` reads every fact from a single one.
+
 Checkers return ``True`` or a falsy :class:`~poloids.tables.Witness`; the
 witness names the elements whose replay against the table reproduces the
 failure, always the first failure in lexicographic index order.  The
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .tables import PartialMagma, Witness, left_units, right_units, units
+from .tables import PartialMagma, Witness, left_units, right_units
 
 VERDICT_NAMES = (
     "semigroupoid",
@@ -34,16 +41,229 @@ VERDICT_NAMES = (
 )
 
 
+class _fact:
+    """A method run on first read; its value then shadows it on the instance."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
+class _Analysis:
+    """The facts about one partial magma, each computed at most once and
+    only when it is first read.
+
+    A verdict fact (named as in ``VERDICT_NAMES``) is ``True`` or the
+    first witness against it; a data fact (``unit_maps``, ``inverses``,
+    ``phi``) is the data or the witness that rules it out.  Witnesses
+    are falsy and data is not, so ``data and True`` is the verdict and
+    verdicts chain with ``and``.
+    """
+
+    def __init__(self, m: PartialMagma):
+        self.m = m
+
+    @_fact
+    def lefts(self) -> tuple[int, ...]:
+        return left_units(self.m)
+
+    @_fact
+    def rights(self) -> tuple[int, ...]:
+        return right_units(self.m)
+
+    @_fact
+    def units(self) -> tuple[int, ...]:
+        rights = set(self.rights)
+        return tuple(e for e in self.lefts if e in rights)
+
+    @_fact
+    def triple_laws(self):
+        """(two-sided, one-sided) triple law, each True or its first
+        failing triple.  With xy defined the two laws coincide; with xy
+        undefined only the two-sided one can fail, when yz and x(yz) are
+        defined.  So the first one-sided failure ends the scan."""
+        t = self.m.table
+        n = self.m.size
+        two_sided = True
+        for x in range(n):
+            tx = t[x]
+            for y in range(n):
+                xy = tx[y]
+                ty = t[y]
+                if xy is None:
+                    if two_sided is True:
+                        for z in range(n):
+                            yz = ty[z]
+                            if yz is not None and tx[yz] is not None:
+                                two_sided = Witness("associativity", (x, y, z))
+                                break
+                    continue
+                txy = t[xy]
+                for z in range(n):
+                    yz = ty[z]
+                    xy_z = txy[z]
+                    if yz is None:
+                        if xy_z is None:
+                            continue
+                    elif xy_z is not None and xy_z == tx[yz]:
+                        continue
+                    w = Witness("associativity", (x, y, z))
+                    return (w if two_sided is True else two_sided), w
+        return two_sided, True
+
+    @property
+    def semigroupoid(self):
+        return self.triple_laws[0]
+
+    @property
+    def right_directed_semigroupoid(self):
+        return self.triple_laws[1]
+
+    @_fact
+    def unit_maps(self):
+        sg = self.semigroupoid
+        if not sg:
+            return sg
+        t = self.m.table
+        e_set = self.units
+        eps, vareps = [], []
+        for x in range(self.m.size):
+            lefts = [e for e in e_set if t[e][x] is not None]
+            rights = [e for e in e_set if t[x][e] is not None]
+            if not lefts or not rights:
+                return Witness("missing-unit", (x,))
+            if len(lefts) > 1 or len(rights) > 1:  # impossible in a semigroupoid
+                raise RuntimeError("effective units not unique in a semigroupoid")
+            eps.append(lefts[0])
+            vareps.append(rights[0])
+        return tuple(eps), tuple(vareps)
+
+    @property
+    def poloid(self):
+        return self.unit_maps and True
+
+    @_fact
+    def inverses(self):
+        data = self.unit_maps
+        if not data:
+            return data
+        eps, vareps = data
+        t = self.m.table
+        e_set = set(self.units)
+        inverses = []
+        for x in range(self.m.size):
+            candidates = [y for y in range(self.m.size) if t[x][y] in e_set and t[y][x] in e_set]
+            if len(candidates) != 1:
+                return Witness("non-unique-inverse", (x, *candidates[:2]))
+            y = candidates[0]
+            inverses.append(y)
+            if not (t[x][y] == eps[x] == vareps[y] and t[y][x] == vareps[x] == eps[y]):
+                raise RuntimeError("inverse does not meet the effective-unit identities")
+        return tuple(inverses)
+
+    @property
+    def groupoid(self):
+        return self.inverses and True
+
+    @_fact
+    def total(self):
+        for x, row in enumerate(self.m.table):
+            for y, cell in enumerate(row):
+                if cell is None:
+                    return Witness("undefined-cell", (x, y))
+        return True
+
+    def _one_unit(self):
+        u = self.units
+        return True if len(u) == 1 else Witness("extra-unit", u[:2])
+
+    @property
+    def monoid(self):
+        return self.poloid and self._one_unit() and self.total
+
+    @property
+    def group(self):
+        return self.groupoid and self._one_unit()
+
+    @_fact
+    def phi(self):
+        rd = self.right_directed_semigroupoid
+        if not rd:
+            return rd
+        t = self.m.table
+        lefts = self.lefts
+        phi = []
+        for x in range(self.m.size):
+            candidates = [l for l in lefts if t[x][l] == x]
+            if not candidates:
+                return Witness("missing-unit", (x,))
+            if len(candidates) > 1:
+                return Witness("left-unit-clash", (x, candidates[0], candidates[1]))
+            phi.append(candidates[0])
+        for l in lefts:  # forced: every left unit is idempotent here
+            if t[l][l] != l:
+                raise RuntimeError("left unit not idempotent in a right poloid")
+        return tuple(phi)
+
+    @property
+    def right_poloid(self):
+        return self.phi and True
+
+    @_fact
+    def normal(self):
+        phi = _require(self.phi, "not a right poloid")
+        t = self.m.table
+        for x, px in enumerate(phi):
+            for y, py in enumerate(phi):
+                if px != py and t[px][py] is not None and t[py][px] is not None:
+                    return Witness("left-unit-clash", (x, y))
+        return True
+
+    @_fact
+    def preorder(self) -> tuple[tuple[bool, ...], ...]:
+        phi = _require(self.phi, "not a right poloid")
+        t = self.m.table
+        n = self.m.size
+        leq = tuple(tuple(t[y][phi[x]] == x for y in range(n)) for x in range(n))
+        for x in range(n):
+            if not leq[x][x]:
+                raise RuntimeError("natural preorder not reflexive")
+            for y in range(n):
+                for z in range(n):
+                    if leq[x][y] and leq[y][z] and not leq[x][z]:
+                        raise RuntimeError("natural preorder not transitive")
+        return leq
+
+    @_fact
+    def unit_posetal(self):
+        leq = self.preorder
+        lefts = self.lefts
+        for a in lefts:
+            for b in lefts:
+                if a < b and leq[a][b] and leq[b][a]:
+                    return Witness("antisymmetry", (a, b))
+        return True
+
+    def verdict(self, name: str):
+        """The named verdict as classify reports it: off a right poloid,
+        normality and unit posetality fail with the right-poloid witness."""
+        if name in ("normal", "unit_posetal") and not self.right_poloid:
+            return self.phi
+        return getattr(self, name)
+
+
+def _require(data, message: str):
+    if isinstance(data, Witness):
+        raise PreconditionError(message, data)
+    return data
+
+
 def is_total(m: PartialMagma) -> bool:
-    return all(cell is not None for row in m.table for cell in row)
-
-
-def _first_undefined(m: PartialMagma) -> Witness:
-    for x in range(m.size):
-        for y in range(m.size):
-            if m.table[x][y] is None:
-                return Witness("undefined-cell", (x, y))
-    raise ValueError("table is total")
+    return bool(_Analysis(m).total)
 
 
 def is_semigroupoid(m: PartialMagma):
@@ -53,176 +273,53 @@ def is_semigroupoid(m: PartialMagma):
     The trigger for (x, y, z) is: xy and yz defined, or (xy)z defined,
     or x(yz) defined.
     """
-    t = m.table
-    n = m.size
-    for x in range(n):
-        for y in range(n):
-            xy = t[x][y]
-            for z in range(n):
-                yz = t[y][z]
-                trigger = (
-                    (xy is not None and yz is not None)
-                    or (xy is not None and t[xy][z] is not None)
-                    or (yz is not None and t[x][yz] is not None)
-                )
-                if not trigger:
-                    continue
-                if xy is None or yz is None:
-                    return Witness("associativity", (x, y, z))
-                if t[xy][z] is None or t[x][yz] is None or t[xy][z] != t[x][yz]:
-                    return Witness("associativity", (x, y, z))
-    return True
+    return _Analysis(m).semigroupoid
 
 
 def is_right_directed_semigroupoid(m: PartialMagma):
     """One-sided triple law: triggered by (xy)z defined or by xy and yz
     defined, never by x(yz) alone."""
-    t = m.table
-    n = m.size
-    for x in range(n):
-        for y in range(n):
-            xy = t[x][y]
-            if xy is None:
-                continue
-            for z in range(n):
-                yz = t[y][z]
-                if yz is None and t[xy][z] is None:
-                    continue
-                if yz is None or t[xy][z] is None or t[x][yz] is None:
-                    return Witness("associativity", (x, y, z))
-                if t[xy][z] != t[x][yz]:
-                    return Witness("associativity", (x, y, z))
-    return True
-
-
-def _poloid_data(m: PartialMagma):
-    """(eps, vareps) index maps, or the disqualifying witness."""
-    sg = is_semigroupoid(m)
-    if not sg:
-        return sg
-    t = m.table
-    e_set = units(m)
-    eps = []
-    vareps = []
-    for x in range(m.size):
-        lefts = [e for e in e_set if t[e][x] is not None]
-        rights = [e for e in e_set if t[x][e] is not None]
-        if not lefts or not rights:
-            return Witness("missing-unit", (x,))
-        if len(lefts) > 1 or len(rights) > 1:  # impossible in a semigroupoid
-            raise RuntimeError("effective units not unique in a semigroupoid")
-        eps.append(lefts[0])
-        vareps.append(rights[0])
-    return tuple(eps), tuple(vareps)
+    return _Analysis(m).right_directed_semigroupoid
 
 
 def is_poloid(m: PartialMagma):
     """Semigroupoid in which every element has effective units on both sides."""
-    data = _poloid_data(m)
-    return data if isinstance(data, Witness) else True
+    return _Analysis(m).poloid
 
 
 def effective_unit_maps(m: PartialMagma) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The maps x -> eps_x and x -> vareps_x of a verified poloid."""
-    data = _poloid_data(m)
-    if isinstance(data, Witness):
-        raise PreconditionError("not a poloid", data)
-    return data
-
-
-def _groupoid_data(m: PartialMagma):
-    data = _poloid_data(m)
-    if isinstance(data, Witness):
-        return data
-    eps, vareps = data
-    t = m.table
-    e_set = set(units(m))
-    inverses = []
-    for x in range(m.size):
-        candidates = [
-            y
-            for y in range(m.size)
-            if t[x][y] in e_set and t[y][x] in e_set
-            and t[x][y] is not None and t[y][x] is not None
-        ]
-        if len(candidates) != 1:
-            return Witness("non-unique-inverse", (x, *candidates[:2]))
-        y = candidates[0]
-        inverses.append(y)
-        if t[x][y] != eps[x] or t[x][y] != vareps[y]:
-            raise RuntimeError("inverse does not meet the effective-unit identities")
-        if t[y][x] != vareps[x] or t[y][x] != eps[y]:
-            raise RuntimeError("inverse does not meet the effective-unit identities")
-    return tuple(inverses)
+    return _require(_Analysis(m).unit_maps, "not a poloid")
 
 
 def is_groupoid(m: PartialMagma):
     """Poloid with a unique two-sided inverse for every element."""
-    data = _groupoid_data(m)
-    return data if isinstance(data, Witness) else True
+    return _Analysis(m).groupoid
 
 
 def is_monoid(m: PartialMagma) -> bool:
     """Poloid with a single unit; totality is verified, not assumed."""
-    data = _poloid_data(m)
-    return not isinstance(data, Witness) and len(units(m)) == 1 and is_total(m)
+    return bool(_Analysis(m).monoid)
 
 
 def is_group(m: PartialMagma) -> bool:
-    data = _groupoid_data(m)
-    return not isinstance(data, Witness) and len(units(m)) == 1
-
-
-def _phi_data(m: PartialMagma):
-    """x -> phi_x map of a right poloid, or the disqualifying witness.
-
-    phi_x is the unique left unit of the magma that is a local right
-    unit for x (x.phi_x defined and equal to x).
-    """
-    rd = is_right_directed_semigroupoid(m)
-    if not rd:
-        return rd
-    t = m.table
-    lefts = left_units(m)
-    phi = []
-    for x in range(m.size):
-        candidates = [l for l in lefts if t[x][l] == x]
-        if not candidates:
-            return Witness("missing-unit", (x,))
-        if len(candidates) > 1:
-            return Witness("left-unit-clash", (x, candidates[0], candidates[1]))
-        phi.append(candidates[0])
-    for l in lefts:  # forced: every left unit is idempotent here
-        if t[l][l] != l:
-            raise RuntimeError("left unit not idempotent in a right poloid")
-    return tuple(phi)
+    return bool(_Analysis(m).group)
 
 
 def is_right_poloid(m: PartialMagma):
     """Right-directed semigroupoid with a unique local right unit
     phi_x among the left units, for every x."""
-    data = _phi_data(m)
-    return data if isinstance(data, Witness) else True
+    return _Analysis(m).right_poloid
 
 
 def phi_map(m: PartialMagma) -> tuple[int, ...]:
     """The map x -> phi_x of a verified right poloid."""
-    data = _phi_data(m)
-    if isinstance(data, Witness):
-        raise PreconditionError("not a right poloid", data)
-    return data
+    return _require(_Analysis(m).phi, "not a right poloid")
 
 
 def is_normal(m: PartialMagma):
     """Whether phi_x.phi_y and phi_y.phi_x both defined forces phi_x = phi_y."""
-    phi = phi_map(m)
-    t = m.table
-    for x in range(m.size):
-        for y in range(m.size):
-            px, py = phi[x], phi[y]
-            if px != py and t[px][py] is not None and t[py][px] is not None:
-                return Witness("left-unit-clash", (x, y))
-    return True
+    return _Analysis(m).normal
 
 
 def natural_preorder(m: PartialMagma) -> tuple[tuple[bool, ...], ...]:
@@ -230,44 +327,24 @@ def natural_preorder(m: PartialMagma) -> tuple[tuple[bool, ...], ...]:
 
     Reflexive and transitive on every right poloid; both are verified.
     """
-    phi = phi_map(m)
-    t = m.table
-    n = m.size
-    leq = tuple(
-        tuple(t[y][phi[x]] == x and t[y][phi[x]] is not None for y in range(n))
-        for x in range(n)
-    )
-    for x in range(n):
-        if not leq[x][x]:
-            raise RuntimeError("natural preorder not reflexive")
-        for y in range(n):
-            for z in range(n):
-                if leq[x][y] and leq[y][z] and not leq[x][z]:
-                    raise RuntimeError("natural preorder not transitive")
-    return leq
+    return _Analysis(m).preorder
 
 
 def is_unit_posetal(m: PartialMagma):
     """Antisymmetry of the natural preorder restricted to left units."""
-    leq = natural_preorder(m)
-    lefts = left_units(m)
-    for a in lefts:
-        for b in lefts:
-            if a < b and leq[a][b] and leq[b][a]:
-                return Witness("antisymmetry", (a, b))
-    return True
+    return _Analysis(m).unit_posetal
 
 
 def is_meet_semilattice_on_left_units(m: PartialMagma) -> bool:
     """Whether every pair of left units has a greatest lower bound."""
-    posetal = is_unit_posetal(m)
+    a = _Analysis(m)
+    posetal = a.unit_posetal
     if not posetal:
         raise PreconditionError("left-unit order is not a partial order", posetal)
-    leq = natural_preorder(m)
-    lefts = left_units(m)
-    for a in lefts:
-        for b in lefts:
-            lower = [c for c in lefts if leq[c][a] and leq[c][b]]
+    leq, lefts = a.preorder, a.lefts
+    for x in lefts:
+        for y in lefts:
+            lower = [c for c in lefts if leq[c][x] and leq[c][y]]
             if not any(all(leq[c][d] for c in lower) for d in lower):
                 return False
     return True
@@ -275,11 +352,10 @@ def is_meet_semilattice_on_left_units(m: PartialMagma) -> bool:
 
 def initial_units(m: PartialMagma) -> tuple[int, ...]:
     """Units u such that for every unit e exactly one x has u.x and x.e defined."""
-    data = _poloid_data(m)
-    if isinstance(data, Witness):
-        raise PreconditionError("not a poloid", data)
+    a = _Analysis(m)
+    _require(a.unit_maps, "not a poloid")
     t = m.table
-    e_set = units(m)
+    e_set = a.units
     out = []
     for u in e_set:
         if all(
@@ -368,77 +444,25 @@ class ClassReport:
 
 
 def classify(m: PartialMagma) -> ClassReport:
-    """Run every checker and assemble the combined report."""
+    """Read every verdict and its data off one analysis of the magma."""
+    a = _Analysis(m)
     verdicts: dict[str, bool] = {}
     witnesses: list[tuple[str, Witness]] = []
-
-    def record(name: str, result) -> bool:
-        ok = not isinstance(result, Witness)
-        verdicts[name] = ok
-        if not ok:
+    for name in VERDICT_NAMES:
+        result = a.verdict(name)
+        verdicts[name] = result is True
+        if result is not True:
             witnesses.append((name, result))
-        return ok
-
-    e_set = units(m)
-    lefts = left_units(m)
-    rights = right_units(m)
-
-    record("semigroupoid", is_semigroupoid(m))
-    poloid_data = _poloid_data(m)
-    eps = vareps = None
-    if record("poloid", poloid_data):
-        eps, vareps = poloid_data
-    groupoid_data = _groupoid_data(m)
-    inverses = None
-    if record("groupoid", groupoid_data):
-        inverses = groupoid_data
-
-    total = is_total(m)
-    verdicts["total"] = total
-    if not total:
-        witnesses.append(("total", _first_undefined(m)))
-
-    monoid = verdicts["poloid"] and len(e_set) == 1 and total
-    verdicts["monoid"] = monoid
-    if not monoid:
-        if not verdicts["poloid"]:
-            witnesses.append(("monoid", poloid_data))
-        elif len(e_set) > 1:
-            witnesses.append(("monoid", Witness("extra-unit", (e_set[0], e_set[1]))))
-        else:
-            witnesses.append(("monoid", _first_undefined(m)))
-
-    group = verdicts["groupoid"] and len(e_set) == 1
-    verdicts["group"] = group
-    if not group:
-        if not verdicts["groupoid"]:
-            witnesses.append(("group", groupoid_data))
-        else:
-            witnesses.append(("group", Witness("extra-unit", (e_set[0], e_set[1]))))
-
-    record("right_directed_semigroupoid", is_right_directed_semigroupoid(m))
-    phi_data = _phi_data(m)
-    phi = None
-    if record("right_poloid", phi_data):
-        phi = phi_data
-        record("normal", is_normal(m))
-        record("unit_posetal", is_unit_posetal(m))
-    else:
-        verdicts["normal"] = False
-        verdicts["unit_posetal"] = False
-        witnesses.append(("normal", phi_data))
-        witnesses.append(("unit_posetal", phi_data))
-
-    verdicts = {name: verdicts[name] for name in VERDICT_NAMES}
+    eps, vareps = a.unit_maps if verdicts["poloid"] else (None, None)
     return ClassReport(
         magma=m,
         verdicts=verdicts,
-        units=e_set,
-        left_units=lefts,
-        right_units=rights,
+        units=a.units,
+        left_units=a.lefts,
+        right_units=a.rights,
         eps=eps,
         vareps=vareps,
-        phi=phi,
-        inverses=inverses,
+        phi=a.phi if verdicts["right_poloid"] else None,
+        inverses=a.inverses if verdicts["groupoid"] else None,
         witnesses=tuple(witnesses),
     )

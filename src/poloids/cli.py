@@ -35,21 +35,17 @@ def _load_magma(path: str) -> tables.PartialMagma:
     must be closed for that to make sense.
     """
     text = _read(path)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("set:"):
-            magma = maps.parse_map_magma(text)
-            closed = maps.is_closed(magma)
-            if not closed:
-                names = magma.member_names()
-                raise ParseError(
-                    "map magma is not closed under composition (%s)" % closed.format(names)
-                )
-            return maps.as_partial_magma(magma)
+    lines = tables._content_lines(text)
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    if not lines[0].startswith("set:"):
         return tables.parse_magma(text)
-    raise ParseError(f"{path}: empty file")
+    magma = maps.parse_map_magma(text)
+    closed = maps.is_closed(magma)
+    if not closed:
+        names = magma.member_names()
+        raise ParseError("map magma is not closed under composition (%s)" % closed.format(names))
+    return maps.as_partial_magma(magma)
 
 
 def cmd_classify(args) -> int:

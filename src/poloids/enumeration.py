@@ -23,20 +23,7 @@ from __future__ import annotations
 from itertools import permutations, product as iproduct
 from typing import Iterator
 
-from .classify import (
-    VERDICT_NAMES,
-    classify,
-    is_group,
-    is_groupoid,
-    is_monoid,
-    is_normal,
-    is_poloid,
-    is_right_directed_semigroupoid,
-    is_right_poloid,
-    is_semigroupoid,
-    is_total,
-    is_unit_posetal,
-)
+from .classify import VERDICT_NAMES, _Analysis, classify
 from .errors import BoundExceeded
 from .tables import PartialMagma
 
@@ -54,25 +41,16 @@ _RIGHT_POLOID_CLASSES = frozenset(
     {"poloid", "groupoid", "monoid", "group", "right_poloid", "normal", "unit_posetal"}
 )
 
-_CHECKS = {
-    "semigroupoid": is_semigroupoid,
-    "poloid": is_poloid,
-    "groupoid": is_groupoid,
-    "total": is_total,
-    "monoid": is_monoid,
-    "group": is_group,
-    "right_directed_semigroupoid": is_right_directed_semigroupoid,
-    "right_poloid": is_right_poloid,
-    "normal": lambda m: bool(is_right_poloid(m)) and bool(is_normal(m)),
-    "unit_posetal": lambda m: bool(is_right_poloid(m)) and bool(is_unit_posetal(m)),
-}
-
 
 def matches(m: PartialMagma, verdict: str) -> bool:
-    """Whether the magma belongs to the named verdict class."""
-    if verdict not in _CHECKS:
+    """Whether the magma belongs to the named verdict class.
+
+    Reads only the facts that class needs, so a leaf of the walk pays
+    for no more than its own verdict.
+    """
+    if verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
-    return bool(_CHECKS[verdict](m))
+    return bool(_Analysis(m).verdict(verdict))
 
 
 def from_flat(flat, n: int, elements=None) -> PartialMagma:
@@ -150,22 +128,15 @@ def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[Part
     Uses the pruned walk described in the module docstring for every
     class but ``total``, which is filtered out of :func:`all_magmas`.
     """
-    if verdict not in _CHECKS:
+    if verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
     if not 1 <= n <= bound:
         raise BoundExceeded(f"filtered enumeration supports 1..{bound} elements, got {n}")
-    if verdict not in _RD_CLASSES:
-        if n > RAW_BOUND:
-            raise BoundExceeded(f"class {verdict!r} cannot be pruned; maximum is {RAW_BOUND}")
-        for m in all_magmas(n):
-            if matches(m, verdict):
-                yield m
-        return
-    if n <= 2:
-        # tiny spaces: brute force is simpler than the pruned walk
-        for m in all_magmas(n):
-            if matches(m, verdict):
-                yield m
+    if verdict not in _RD_CLASSES and n > RAW_BOUND:
+        raise BoundExceeded(f"class {verdict!r} cannot be pruned; maximum is {RAW_BOUND}")
+    if verdict not in _RD_CLASSES or n <= 2:
+        # total cannot be pruned; on tiny spaces brute force is simpler
+        yield from (m for m in all_magmas(n) if matches(m, verdict))
         return
 
     two_sided = verdict in _SEMIGROUPOID_CLASSES

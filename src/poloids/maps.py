@@ -30,7 +30,7 @@ from itertools import combinations, product as iproduct
 from typing import Mapping
 
 from .errors import BoundExceeded, ParseError, PreconditionError
-from .tables import PartialMagma, Witness, _valid_token
+from .tables import PartialMagma, Witness, _content_lines, _valid_token
 
 
 class Mode(enum.Enum):
@@ -377,13 +377,10 @@ def parse_map_magma(text: str) -> MapMagma:
     ``set:`` and ``mode:`` lines, then ``map <name>: p->q ...`` blocks,
     each optionally followed by ``cod <name>: <pt> ...``.  A cod line
     makes its map a partial function; maps must be all with or all
-    without codomains.
+    without codomains.  A trailing ``iso:`` block of ``<element> -> <map>``
+    lines, as ``poloids embed`` writes, is checked and then ignored.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     if len(lines) < 2:
         raise ParseError("map-magma file needs 'set:' and 'mode:' lines")
     head, sep, rest = lines[0].partition(":")
@@ -403,9 +400,11 @@ def parse_map_magma(text: str) -> MapMagma:
     except ValueError:
         raise ParseError(f"unknown mode {rest.strip()!r}") from None
     point_set = set(points)
+    body = lines[2:]
+    iso = body[body.index("iso:"):] if "iso:" in body else []
 
     entries: list[tuple[str, dict, tuple | None]] = []  # (name, assignment, cod)
-    for line in lines[2:]:
+    for line in body[:len(body) - len(iso)]:
         head, sep, rest = line.partition(":")
         if not sep:
             raise ParseError(f"expected 'map' or 'cod' line, got {line!r}")
@@ -458,6 +457,12 @@ def parse_map_magma(text: str) -> MapMagma:
         else:
             members.append(pre)
         names.append(name)
+    for line in iso[1:]:
+        element, arrow, member = (part.strip() for part in line.partition("->"))
+        if not arrow or not _valid_token(element) or not _valid_token(member):
+            raise ParseError(f"expected '<element> -> <map>' in the iso block, got {line!r}")
+        if member not in names:
+            raise ParseError(f"iso line {line!r}: unknown map {member!r}")
     try:
         return MapMagma(points, tuple(members), mode, tuple(names))
     except ValueError as exc:  # duplicate maps, or codomain mode without codomains

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .classify import classify
 from .errors import BoundExceeded, ParseError, PreconditionError
 from .maps import MapMagma, Mode, PartialFn, as_partial_magma, compose_maps
-from .tables import PartialMagma, Witness, units
+from .tables import PartialMagma, Witness, _content_lines, units
 
 
 @dataclass(frozen=True)
@@ -318,10 +318,7 @@ def is_poloid_action(a: ActionSpec) -> ActionResult:
 def parse_morphism(src: PartialMagma, dst: PartialMagma, text: str) -> Morphism:
     """Parse ``hom: <src-elem> -> <dst-elem>`` lines, one per source element."""
     mapping: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(text):
         head, sep, rest = line.partition(":")
         if head.strip() != "hom" or not sep:
             raise ParseError(f"expected 'hom: <src> -> <dst>', got {line!r}")

@@ -13,9 +13,9 @@ Normal right poloids skip the upgrade and embed directly into a domain
 pretransformation magma: normality is precisely what makes the
 translation map injective.
 
-Every constructor re-verifies the properties it is supposed to deliver
-and raises ``RuntimeError`` if any fails, so a successful return value
-is a checked certificate, not a promise.
+Every constructor verifies the properties it is supposed to deliver,
+each once, and raises ``RuntimeError`` if any fails, so a successful
+return value is a checked certificate, not a promise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .maps import (
     is_closed,
     is_domain_pretransformation_magma,
     is_transformation_poloid,
-    is_transformation_semigroupoid,
     serialize_map_magma,
 )
 from .tables import PartialMagma
@@ -59,14 +58,18 @@ class Embedding:
         return self.image.members[self.assignment[i]]
 
 
-def _translation(m: PartialMagma, x: int) -> Prefunction:
+def _translations(m: PartialMagma) -> list[Prefunction]:
+    """Each element x as the prefunction t -> xt on the carrier."""
     names = m.elements
-    pairs = {
-        names[t]: names[m.table[x][t]]
-        for t in range(m.size)
-        if m.table[x][t] is not None
-    }
-    return Prefunction(names, pairs)
+    return [
+        Prefunction(names, {names[t]: names[v] for t, v in enumerate(row) if v is not None})
+        for row in m.table
+    ]
+
+
+def _codomain_upgrade(translations: list, eps) -> list:
+    """x's translation with the domain of eps_x's translation as codomain."""
+    return [PartialFn(f, translations[e].domain) for f, e in zip(translations, eps)]
 
 
 def _check_structure_map(m: PartialMagma, maps: list, mode: Mode) -> None:
@@ -92,7 +95,7 @@ def left_translation_embedding(p: PartialMagma) -> Embedding:
     report = classify(p)
     if not report.verdicts["right_poloid"]:
         raise PreconditionError("not a right poloid", report.witness_for("right_poloid"))
-    maps = [_translation(p, x) for x in range(p.size)]
+    maps = _translations(p)
     _check_structure_map(p, maps, Mode.SUPSET)
     members = sorted(set(maps), key=maps.index)
     injective = len(members) == p.size
@@ -116,13 +119,12 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
     report = classify(p)
     if not report.verdicts["poloid"]:
         raise PreconditionError("not a poloid", report.witness_for("poloid"))
-    maps = [_translation(p, x) for x in range(p.size)]
+    maps = _translations(p)
     if set(maps) != set(translations.members) or translations.mode is not Mode.SUPSET:
         raise PreconditionError("map magma is not this poloid's translation image")
     if len(set(maps)) != p.size:
         raise RuntimeError("translation map not injective on a poloid")
-    eps = report.eps
-    upgraded = [PartialFn(maps[x], maps[eps[x]].domain) for x in range(p.size)]
+    upgraded = _codomain_upgrade(maps, report.eps)
     if len(set(upgraded)) != len(set(maps)):
         raise RuntimeError("codomain upgrade is not bijective")
     for x in range(p.size):
@@ -142,31 +144,28 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
 def cayley_embedding(p: PartialMagma) -> Embedding:
     """A poloid as a transformation poloid on its own carrier.
 
-    Composes the translation step with the codomain upgrade, then
-    verifies the advertised package: injectivity, preservation and
-    reflection of definedness and products, units landing on identity
-    transformations, and the image passing the transformation
-    semigroupoid and transformation poloid checks.
+    Applies the codomain upgrade to the translations, then verifies the
+    advertised package once: injectivity, preservation and reflection of
+    definedness and products, units landing on identity transformations,
+    and the image passing the transformation semigroupoid and
+    transformation poloid checks.
     """
     report = classify(p)
     if not report.verdicts["poloid"]:
         raise PreconditionError("not a poloid", report.witness_for("poloid"))
-    pre = left_translation_embedding(p)
-    image = attach_codomains(p, pre.image)
-    eps = report.eps
-    maps = [
-        PartialFn(_translation(p, x), _translation(p, eps[x]).domain)
-        for x in range(p.size)
-    ]
+    maps = _codomain_upgrade(_translations(p), report.eps)
     if len(set(maps)) != p.size:
         raise RuntimeError("embedding not injective")
     _check_structure_map(p, maps, Mode.SUPSET)
     for e in report.units:
         if not maps[e].is_identity():
             raise RuntimeError("unit not sent to an identity transformation")
-    if not (is_closed(image) and is_transformation_semigroupoid(image)):
-        raise RuntimeError("image is not a transformation semigroupoid")
-    if not is_transformation_poloid(image):
+    image = MapMagma(p.elements, tuple(maps), Mode.SUPSET, p.elements)
+    try:  # also runs the closure and transformation-semigroupoid checks
+        poloid = is_transformation_poloid(image)
+    except PreconditionError as exc:
+        raise RuntimeError(f"image is not a closed transformation semigroupoid: {exc}") from None
+    if not poloid:
         raise RuntimeError("image is not a transformation poloid")
     assignment = tuple(image.member_index(f) for f in maps)
     return Embedding(p, image, assignment)
@@ -191,7 +190,7 @@ def embed_right_poloid(p: PartialMagma) -> Embedding:
             % report.witness_for("normal").format(p.elements),
             report.witness_for("normal"),
         )
-    maps = [_translation(p, x) for x in range(p.size)]
+    maps = _translations(p)
     if len(set(maps)) != p.size:
         raise RuntimeError("translation map not injective on a normal right poloid")
     phi = report.phi

@@ -26,6 +26,12 @@ def _valid_token(tok: str) -> bool:
     return bool(tok) and tok != "-" and not any(c in _TOKEN_FORBIDDEN for c in tok)
 
 
+def _content_lines(text: str) -> list[str]:
+    """The non-blank lines of a structure file, comments and edges stripped."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
 @dataclass(frozen=True)
 class Witness:
     """A finite counterexample to a structural check.
@@ -93,9 +99,6 @@ class PartialMagma:
             return self.elements.index(name)
         except ValueError:
             raise KeyError(f"unknown element {name!r}") from None
-
-    def product(self, x: int, y: int) -> int | None:
-        return self.table[x][y]
 
 
 def product(m: PartialMagma, x: int, y: int) -> int | None:
@@ -195,11 +198,7 @@ def parse_magma(text: str) -> PartialMagma:
     element, in carrier order: ``<tok>: <entry> ...`` where an entry is
     an element token or ``-`` for undefined.  ``#`` starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     if not lines:
         raise ParseError("empty magma file")
     head, sep, rest = lines[0].partition(":")

@@ -2,11 +2,30 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from types import SimpleNamespace
+
 import pytest
 
-from poloids import PartialMagma
-from poloids.enumeration import all_magmas
-from poloids.classify import classify
+from poloids import (
+    PartialMagma,
+    PreconditionError,
+    effective_unit_maps,
+    is_group,
+    is_groupoid,
+    is_monoid,
+    is_normal,
+    is_poloid,
+    is_right_directed_semigroupoid,
+    is_right_poloid,
+    is_semigroupoid,
+    is_total,
+    is_unit_posetal,
+    phi_map,
+)
+from poloids.enumeration import all_magmas, matches, to_flat
+from poloids.classify import VERDICT_NAMES, classify
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -153,3 +172,85 @@ def poloid_corpus(n2_poloids):
     for m in corpus:
         assert classify(m).verdicts["poloid"], m
     return corpus
+
+
+# public views that return True or the witness classify reports
+_WITNESS_VIEWS = {
+    "semigroupoid": is_semigroupoid,
+    "poloid": is_poloid,
+    "groupoid": is_groupoid,
+    "right_directed_semigroupoid": is_right_directed_semigroupoid,
+    "right_poloid": is_right_poloid,
+}
+# ... that return a plain bool
+_BOOL_VIEWS = {"total": is_total, "monoid": is_monoid, "group": is_group}
+# ... that need a right poloid and raise PreconditionError off one
+_RIGHT_POLOID_VIEWS = {"normal": is_normal, "unit_posetal": is_unit_posetal}
+
+
+def _outcome(view, m):
+    try:
+        return ("value", view(m))
+    except PreconditionError as exc:
+        return ("raise", exc.witness)
+
+
+def view_disagreements(m, report) -> list[str]:
+    """The ``matches`` classes and public views that disagree with the report."""
+    verdicts = report.verdicts
+
+    def expected(name):
+        return True if verdicts[name] else report.witness_for(name)
+
+    wrong = [c for c in VERDICT_NAMES if matches(m, c) is not verdicts[c]]
+    wrong += [n for n, v in _WITNESS_VIEWS.items() if _outcome(v, m) != ("value", expected(n))]
+    wrong += [n for n, v in _BOOL_VIEWS.items() if _outcome(v, m) != ("value", verdicts[n])]
+    rp = verdicts["right_poloid"]
+    for name, view in _RIGHT_POLOID_VIEWS.items():
+        want = ("value", expected(name)) if rp else ("raise", report.witness_for("right_poloid"))
+        if _outcome(view, m) != want:
+            wrong.append(name)
+    want = ("value", report.phi) if rp else ("raise", report.witness_for("right_poloid"))
+    if _outcome(phi_map, m) != want:
+        wrong.append("phi_map")
+    poloid = verdicts["poloid"]
+    want = ("value", (report.eps, report.vareps)) if poloid else ("raise", report.witness_for("poloid"))
+    if _outcome(effective_unit_maps, m) != want:
+        wrong.append("effective_unit_maps")
+    return wrong
+
+
+@pytest.fixture(scope="session")
+def small_census():
+    """One pass over every table with at most 3 elements.
+
+    ``digest`` is a sha256 over each table's ``classify(m).to_dict()`` as
+    compact JSON, one line per table in enumeration order;
+    ``by_class[c]`` lists the flat 3-element tables in class c, by
+    verdict; ``disagreements`` pairs each table on which ``matches`` or a
+    public view disagrees with the report with the disagreeing names.
+    The views are checked on every table with at most 2 elements, on the
+    first 3-element table of each distinct report and on every 16th one:
+    calling all of them on all 262,143 tables would triple the pass.
+    """
+    digest = hashlib.sha256()
+    by_class = {name: [] for name in VERDICT_NAMES}
+    disagreements = []
+    seen = set()
+    for n in (1, 2, 3):
+        for i, m in enumerate(all_magmas(n)):
+            report = classify(m)
+            digest.update(json.dumps(report.to_dict()).encode() + b"\n")
+            key = (report.witnesses, report.eps, report.vareps, report.phi)
+            if n < 3 or key not in seen or i % 16 == 0:
+                seen.add(key)
+                wrong = view_disagreements(m, report)
+                if wrong:
+                    disagreements.append((to_flat(m), wrong))
+            if n == 3:
+                for name in VERDICT_NAMES:
+                    if report.verdicts[name]:
+                        by_class[name].append(to_flat(m))
+    return SimpleNamespace(
+        digest=digest.hexdigest(), by_class=by_class, disagreements=disagreements
+    )

@@ -38,6 +38,7 @@ from conftest import (
     three_unit_discrete,
     trivial_group,
     two_unit_groupoid,
+    view_disagreements,
     z2,
 )
 
@@ -402,3 +403,19 @@ class TestClassifyReport:
         assert {w["verdict"] for w in d["witnesses"]} == {
             name for name, ok in d["verdicts"].items() if not ok
         }
+
+
+class TestOneAnalysis:
+    # recorded with the per-checker classify that preceded the shared analysis
+    GOLDEN_DIGEST = "ffa5d9bee6b680362e165b4600b3948c14e4db9afa16f9a336589842bb7d142d"
+
+    def test_reports_unchanged_up_to_three_elements(self, small_census):
+        assert small_census.digest == self.GOLDEN_DIGEST
+
+    def test_views_agree_with_classify_up_to_three_elements(self, small_census):
+        assert small_census.disagreements == []
+
+    def test_disagreement_is_detected(self):
+        # the agreement check itself: a report of another table disagrees
+        wrong = view_disagreements(right_zero(2), classify(z2()))
+        assert {"poloid", "group", "normal", "phi_map", "effective_unit_maps"} <= set(wrong)

@@ -155,6 +155,23 @@ class TestEmbed:
         assert code == 0
         assert "cod" not in out  # prefunction image
 
+    def test_output_reads_back(self, write, tmp_path, capsys):
+        # the written file, iso block included, is a map-magma file
+        out_file = str(tmp_path / "z2.maps")
+        assert main(["embed", write("z2.magma", Z2), "-o", out_file]) == 0
+        assert main(["classify", out_file]) == 0
+        assert "group: yes" in capsys.readouterr().out
+        assert main(["compose", out_file, "g", "g"]) == 0
+        assert capsys.readouterr().out == "Id[e,g]\n"
+
+    @pytest.mark.parametrize("line", ["e => e", "e ->", "e -> h", "iso:"])
+    def test_bad_iso_line(self, write, tmp_path, capsys, line):
+        out_file = tmp_path / "z2.maps"
+        main(["embed", write("z2.magma", Z2), "-o", str(out_file)])
+        path = write("bad.maps", out_file.read_text() + line + "\n")
+        assert main(["classify", path]) == 2
+        assert "iso" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_one_element(self, capsys):
@@ -272,10 +289,6 @@ class TestIso:
         src = write("two.magma", TWO_UNIT)
         embedded = tmp_path / "image.maps"
         main(["embed", src, "-o", str(embedded)])
-        # strip the iso block to get a clean map-magma file
-        lines = embedded.read_text().splitlines()
-        magma_text = "\n".join(lines[: lines.index("iso:")]) + "\n"
-        image = write("image.maps", magma_text)
-        code = main(["iso", src, image])
+        code = main(["iso", src, str(embedded)])
         assert code == 0
         assert "isomorphism: yes" in capsys.readouterr().out

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from poloids import (
+    PartialFn,
     PreconditionError,
     as_partial_magma,
     attach_codomains,
@@ -20,6 +21,7 @@ from poloids import (
     left_translation_embedding,
     serialize_embedding,
 )
+from poloids import represent
 from poloids.enumeration import filtered
 
 from conftest import magma, right_zero, trivial_group, two_unit_groupoid, z2
@@ -217,3 +219,71 @@ class TestSerialization:
         m = magma(["p", "q"], [["p", None], [None, "q"]])
         text = serialize_embedding(embed_right_poloid(m))
         assert "map p: p->p" in text and "cod" not in text
+
+
+class TestCertificates:
+    # Corrupt one construction step and check that the constructor's own
+    # verification still refuses to return the result.
+
+    @staticmethod
+    def _shifted_translations(monkeypatch):
+        # x is sent to the translation of the next element
+        original = represent._translations
+
+        def shifted(m):
+            maps = original(m)
+            return maps[1:] + maps[:1]
+
+        monkeypatch.setattr(represent, "_translations", shifted)
+
+    @staticmethod
+    def _whole_carrier_codomains(monkeypatch):
+        def upgrade(translations, eps):
+            return [PartialFn(f, f.ground) for f in translations]
+
+        monkeypatch.setattr(represent, "_codomain_upgrade", upgrade)
+
+    @staticmethod
+    def _reversed_upgrade(monkeypatch):
+        original = represent._codomain_upgrade
+
+        def reversed_upgrade(translations, eps):
+            return original(translations, eps)[::-1]
+
+        monkeypatch.setattr(represent, "_codomain_upgrade", reversed_upgrade)
+
+    def test_cayley_rejects_wrong_translations(self, monkeypatch):
+        self._shifted_translations(monkeypatch)
+        with pytest.raises(RuntimeError, match="products not preserved"):
+            cayley_embedding(z2())
+
+    def test_cayley_rejects_wrong_codomains(self, monkeypatch):
+        self._whole_carrier_codomains(monkeypatch)
+        with pytest.raises(RuntimeError, match="identity transformation"):
+            cayley_embedding(two_unit_groupoid())
+
+    def test_attach_codomains_rejects_wrong_codomains(self, monkeypatch):
+        m = two_unit_groupoid()
+        translations = left_translation_embedding(m).image
+        self._whole_carrier_codomains(monkeypatch)
+        with pytest.raises(RuntimeError, match="identity transformation"):
+            attach_codomains(m, translations)
+
+    def test_attach_codomains_rejects_permuted_upgrade(self, monkeypatch):
+        m = z2()
+        translations = left_translation_embedding(m).image
+        self._reversed_upgrade(monkeypatch)
+        with pytest.raises(RuntimeError, match="changed a composite"):
+            attach_codomains(m, translations)
+
+    def test_embed_right_poloid_rejects_wrong_translations(self, monkeypatch):
+        self._shifted_translations(monkeypatch)
+        with pytest.raises(RuntimeError, match="phi_x is not Id"):
+            embed_right_poloid(z2())
+
+    def test_unpatched_constructors_pass(self):
+        # the same inputs go through when nothing is corrupted
+        cayley_embedding(z2())
+        cayley_embedding(two_unit_groupoid())
+        attach_codomains(z2(), left_translation_embedding(z2()).image)
+        embed_right_poloid(z2())
