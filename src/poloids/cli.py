@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success or a true verdict, 1 a false verdict (the witness
-is printed), 2 parse or I/O failure, 3 precondition failure.
+is printed), 2 parse or I/O failure, 3 precondition failure, 4 a broken
+internal invariant (a ``RuntimeError``; its message is printed, a
+defect in this package rather than in the input).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -211,6 +214,9 @@ def main(argv=None) -> int:
     except (PreconditionError, BoundExceeded) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Tables on n elements are encoded flat: a tuple of n*n entries in
 ``range(n + 1)``, where ``n`` stands for an undefined cell; the
-all-undefined table is excluded.  ``filtered`` assigns cells in row-major
-order and drops a value as soon as a law the requested class implies is
-definitely broken:
+all-undefined table is excluded.  ``all_magmas`` yields the tables in
+the lexicographic order of that encoding but builds them row by row;
+``count_by_class`` reads only verdicts off each.  ``filtered`` assigns
+cells in row-major order and drops a value as soon as a law the
+requested class implies is definitely broken:
 
 - the one-sided triple law, for every class except ``total`` (all the
   others are right-directed semigroupoids);
@@ -23,7 +25,7 @@ from __future__ import annotations
 from itertools import permutations, product as iproduct
 from typing import Iterator
 
-from .classify import VERDICT_NAMES, _Analysis, classify
+from .classify import VERDICT_NAMES, _Analysis
 from .errors import BoundExceeded
 from .tables import PartialMagma
 
@@ -67,13 +69,20 @@ def to_flat(m: PartialMagma) -> tuple[int, ...]:
 
 
 def all_magmas(n: int, bound: int = RAW_BOUND) -> Iterator[PartialMagma]:
-    """Every partial magma on n elements, in lexicographic table order."""
+    """Every partial magma on n elements, in lexicographic table order.
+
+    Tables are generated row by row, as n-tuples of rows over
+    ``0..n-1`` and then ``None``, which is the order of the flat
+    encoding; the all-undefined table, the last one, is skipped.
+    """
     if not 1 <= n <= bound:
         raise BoundExceeded(f"raw enumeration supports 1..{bound} elements, got {n}")
-    empty = (n,) * (n * n)
-    for flat in iproduct(range(n + 1), repeat=n * n):
-        if flat != empty:
-            yield from_flat(flat, n)
+    names = ELEMENT_NAMES[:n]
+    rows = tuple(iproduct((*range(n), None), repeat=n))
+    empty = (rows[-1],) * n
+    for table in iproduct(rows, repeat=n):
+        if table != empty:
+            yield PartialMagma(names, table)
 
 
 def _triple_broken(values: list[int], n: int, x: int, y: int, z: int, two_sided: bool) -> bool:
@@ -167,14 +176,18 @@ def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[Part
 
 
 def count_by_class(n: int) -> dict[str, int]:
-    """How many partial magmas on n elements fall in each verdict class."""
-    counts = {name: 0 for name in VERDICT_NAMES}
+    """How many partial magmas on n elements fall in each verdict class.
+
+    Reads the verdicts off one analysis per table without building a
+    report, so no fact that the verdicts do not need is computed.
+    """
+    counts = dict.fromkeys(VERDICT_NAMES, 0)
     total = 0
     for m in all_magmas(n):
         total += 1
-        report = classify(m)
-        for name, ok in report.verdicts.items():
-            if ok:
+        a = _Analysis(m)
+        for name in VERDICT_NAMES:
+            if a.verdict(name) is True:
                 counts[name] += 1
     counts["partial_magmas"] = total
     return counts

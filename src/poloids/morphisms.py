@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import classify
+from .classify import _Analysis, _require
 from .errors import BoundExceeded, ParseError, PreconditionError
 from .maps import MapMagma, Mode, PartialFn, as_partial_magma, compose_maps
 from .tables import PartialMagma, Witness, _content_lines, units
@@ -48,9 +48,13 @@ def is_homomorphism(m: Morphism):
     When the target is itself a poloid, the induced equations between
     effective units are verified as a sanity check.
     """
-    src_report = classify(m.source)
-    if not src_report.verdicts["poloid"]:
-        raise PreconditionError("source is not a poloid", src_report.witness_for("poloid"))
+    return _homomorphism(m, _Analysis(m.source), _Analysis(m.target))
+
+
+def _homomorphism(m: Morphism, src: _Analysis, tgt: _Analysis):
+    """:func:`is_homomorphism`, reading the two magmas' facts off the
+    given analyses so a caller that already has them pays for none twice."""
+    src_eps, src_vareps = _require(src.unit_maps, "source is not a poloid")
     s, t, f = m.source.table, m.target.table, m.mapping
     for x in range(m.source.size):
         for y in range(m.source.size):
@@ -59,16 +63,16 @@ def is_homomorphism(m: Morphism):
                 continue
             if t[f[x]][f[y]] is None or t[f[x]][f[y]] != f[xy]:
                 return Witness("product-mismatch", (x, y))
-    target_units = set(units(m.target))
-    for e in src_report.units:
+    target_units = set(tgt.units)
+    for e in src.units:
         if f[e] not in target_units:
             return Witness("unit-image", (e,))
-    tgt_report = classify(m.target)
-    if tgt_report.verdicts["poloid"]:
+    if tgt.poloid:
+        tgt_eps, tgt_vareps = tgt.unit_maps
         for x in range(m.source.size):
-            if f[src_report.eps[x]] != tgt_report.eps[f[x]]:
+            if f[src_eps[x]] != tgt_eps[f[x]]:
                 raise RuntimeError("effective left units not respected")
-            if f[src_report.vareps[x]] != tgt_report.vareps[f[x]]:
+            if f[src_vareps[x]] != tgt_vareps[f[x]]:
                 raise RuntimeError("effective right units not respected")
     return True
 
@@ -107,7 +111,7 @@ def image_poloid(m: Morphism) -> PartialMagma:
                 row.append(back[uv])
         table.append(tuple(row))
     result = PartialMagma(tuple(m.target.elements[v] for v in image), tuple(table))
-    if not classify(result).verdicts["poloid"]:
+    if not _Analysis(result).poloid:
         raise RuntimeError("image of a reflecting homomorphism must be a poloid")
     return result
 
@@ -116,9 +120,10 @@ def is_isomorphism(m: Morphism) -> bool:
     """Bijective, and a homomorphism in both directions."""
     if m.source.size != m.target.size or len(set(m.mapping)) != m.source.size:
         return False
-    if not classify(m.source).verdicts["poloid"] or not classify(m.target).verdicts["poloid"]:
+    src, tgt = _Analysis(m.source), _Analysis(m.target)
+    if not src.poloid or not tgt.poloid:
         return False
-    return bool(is_homomorphism(m)) and bool(is_homomorphism(m.inverse()))
+    return bool(_homomorphism(m, src, tgt)) and bool(_homomorphism(m.inverse(), tgt, src))
 
 
 def _profile(m: PartialMagma, x: int):
@@ -224,13 +229,12 @@ def is_subpoloid(p: PartialMagma, subset):
     table = tuple(
         tuple(back[t[x][y]] if t[x][y] is not None else None for y in sub) for x in sub
     )
-    restricted = PartialMagma(tuple(p.elements[x] for x in sub), table)
-    report = classify(restricted)
-    if not report.verdicts["poloid"]:
-        w = report.witness_for("poloid")
-        return Witness(w.kind, tuple(sub[i] for i in w.elements))
+    restricted = _Analysis(PartialMagma(tuple(p.elements[x] for x in sub), table))
+    poloid = restricted.poloid
+    if not poloid:
+        return Witness(poloid.kind, tuple(sub[i] for i in poloid.elements))
     global_units = set(units(p))
-    for e in report.units:
+    for e in restricted.units:
         if sub[e] not in global_units:
             return Witness("non-global-unit", (sub[e],))
     return True
@@ -286,9 +290,8 @@ def is_poloid_action(a: ActionSpec) -> ActionResult:
     into the closed image magma, and each unit must act as an identity
     transformation (functions: equal domain and codomain).
     """
-    report = classify(a.poloid)
-    if not report.verdicts["poloid"]:
-        raise PreconditionError("not a poloid", report.witness_for("poloid"))
+    source = _Analysis(a.poloid)
+    _require(source.unit_maps, "not a poloid")
     members = list(dict.fromkeys(a.assignment))
     added = []
     frontier = list(members)
@@ -305,10 +308,10 @@ def is_poloid_action(a: ActionSpec) -> ActionResult:
     image = MapMagma(a.ground, tuple(members), Mode.SUPSET)
     target = as_partial_magma(image)
     mapping = tuple(image.member_index(f) for f in a.assignment)
-    hom = is_homomorphism(Morphism(a.poloid, target, mapping))
+    hom = _homomorphism(Morphism(a.poloid, target, mapping), source, _Analysis(target))
     if not hom:
         return ActionResult(False, hom, image, tuple(added))
-    for e in report.units:
+    for e in source.units:
         # PartialFn.is_identity also demands dom = cod, as required here
         if not a.assignment[e].is_identity():
             return ActionResult(False, Witness("non-identity-unit", (e,)), image, tuple(added))

@@ -23,7 +23,7 @@ _TOKEN_FORBIDDEN = set(" \t\r\n\f\v:#")
 
 
 def _valid_token(tok: str) -> bool:
-    return bool(tok) and tok != "-" and not any(c in _TOKEN_FORBIDDEN for c in tok)
+    return bool(tok) and tok != "-" and _TOKEN_FORBIDDEN.isdisjoint(tok)
 
 
 def _content_lines(text: str) -> list[str]:
@@ -84,7 +84,10 @@ class PartialMagma:
             for cell in row:
                 if cell is None:
                     continue
-                if not isinstance(cell, int) or isinstance(cell, bool) or not 0 <= cell < n:
+                # type() is the fast path; int subclasses other than bool pass too
+                if (
+                    type(cell) is not int and (not isinstance(cell, int) or isinstance(cell, bool))
+                ) or not 0 <= cell < n:
                     raise ValueError(f"table entry {cell!r} is not an element index")
                 defined += 1
         if defined == 0:
@@ -127,21 +130,19 @@ def precedes(m: PartialMagma, x: int, y: int) -> bool:
 
 def left_units(m: PartialMagma) -> tuple[int, ...]:
     """Elements e with ex = x whenever ex is defined."""
-    t = m.table
     n = m.size
     return tuple(
-        e for e in range(n)
-        if all(t[e][x] is None or t[e][x] == x for x in range(n))
+        e for e, row in enumerate(m.table)
+        if all(ex is None or ex == x for x, ex in zip(range(n), row))
     )
 
 
 def right_units(m: PartialMagma) -> tuple[int, ...]:
     """Elements e with xe = x whenever xe is defined."""
-    t = m.table
     n = m.size
     return tuple(
-        e for e in range(n)
-        if all(t[x][e] is None or t[x][e] == x for x in range(n))
+        e for e, column in enumerate(zip(*m.table))
+        if all(xe is None or xe == x for x, xe in zip(range(n), column))
     )
 
 

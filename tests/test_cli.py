@@ -124,6 +124,17 @@ class TestClassify:
         main(["classify", path])
         assert capsys.readouterr().out == first
 
+    def test_internal_error_exits_4(self, write, capsys, monkeypatch):
+        def broken(m):
+            raise RuntimeError("effective units not unique in a semigroupoid")
+
+        monkeypatch.setattr("poloids.cli.classify", broken)
+        code = main(["classify", write("z2.magma", Z2)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == "internal error: effective units not unique in a semigroupoid\n"
+        assert captured.out == ""
+
 
 class TestEmbed:
     def test_two_unit_groupoid(self, write, capsys):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -30,6 +30,12 @@ class TestAllMagmas:
     def test_excludes_all_undefined(self):
         for m in all_magmas(2):
             assert any(c is not None for row in m.table for c in row)
+
+    def test_lexicographic_flat_order(self):
+        for n in (1, 2):
+            empty = (n,) * (n * n)
+            flats = sorted(f for f in product(range(n + 1), repeat=n * n) if f != empty)
+            assert [to_flat(m) for m in all_magmas(n)] == flats
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
@@ -120,6 +126,13 @@ class TestCounts:
                 expected[name] += ok
         for name in VERDICT_NAMES:
             assert counts[name] == expected[name]
+
+    def test_three_elements_match_the_report_path(self, small_census):
+        # the census reads verdicts only; the fixture's classify pass is
+        # the oracle
+        expected = {name: len(small_census.by_class[name]) for name in VERDICT_NAMES}
+        expected["partial_magmas"] = 4 ** 9 - 1
+        assert count_by_class(3) == expected
 
 
 class TestCanonicalForm:

@@ -9,6 +9,7 @@ from poloids import (
     BoundExceeded,
     Morphism,
     PartialFn,
+    PartialMagma,
     PreconditionError,
     Prefunction,
     Witness,
@@ -28,7 +29,10 @@ from poloids import (
     serialize_morphism,
 )
 
-from conftest import band_monoid, magma, right_zero, trivial_group, two_unit_groupoid, z2
+import poloids.morphisms as morphisms
+from poloids.classify import _Analysis
+
+from conftest import band_monoid, magma, right_zero, trivial_group, two_unit_groupoid, z2, z3
 
 
 def identity_morphism(m):
@@ -143,6 +147,20 @@ class TestIsomorphism:
             e = cayley_embedding(m)
             target = as_partial_magma(e.image)
             assert is_isomorphism(Morphism(m, target, e.assignment))
+
+    def test_one_analysis_per_magma(self, monkeypatch):
+        analysed = []
+
+        class Spy(_Analysis):
+            def __init__(self, m):
+                analysed.append(m)
+                super().__init__(m)
+
+        monkeypatch.setattr(morphisms, "_Analysis", Spy)
+        source = z3()
+        target = PartialMagma(("0", "1", "2"), source.table)
+        assert is_isomorphism(Morphism(source, target, (0, 2, 1)))
+        assert sorted(map(id, analysed)) == sorted([id(source), id(target)])
 
 
 class TestFindIsomorphism:

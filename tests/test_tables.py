@@ -60,6 +60,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PartialMagma(("a", "b"), ((0,), (1, 0)))
 
+    @pytest.mark.parametrize(
+        "names, table, message",
+        [
+            (("a", "b"), ((0, True), (1, 0)), "table entry True is not an element index"),
+            (("a", "b"), ((0, 1.0), (1, 0)), "table entry 1.0 is not an element index"),
+            (("a", "b"), ((0, 2), (1, 0)), "table entry 2 is not an element index"),
+            (("a", "b"), ((0, -1), (1, 0)), "table entry -1 is not an element index"),
+            (("x:y",), ((0,),), "invalid element name 'x:y'"),
+            (("a#b",), ((0,),), "invalid element name 'a#b'"),
+            (("a b",), ((0,),), "invalid element name 'a b'"),
+            (("a\tb",), ((0,),), "invalid element name 'a\\tb'"),
+            (("-",), ((0,),), "invalid element name '-'"),
+            (("a", "b"), ((0, 1), (1,)), "expected 2 entries per row, got 1"),
+            (("a", "b"), ((None, None), (None, None)),
+             "the operation must be defined on at least one pair"),
+        ],
+    )
+    def test_rejection_messages(self, names, table, message):
+        with pytest.raises(ValueError) as exc:
+            PartialMagma(names, table)
+        assert str(exc.value) == message
+
 
 class TestParse:
     def test_right_zero_band_file(self):
@@ -167,6 +189,14 @@ class TestUnits:
         # literal definition; a (with aa = u) is not
         m = magma("au", [["u", None], [None, None]])
         assert units(m) == (1,)
+
+    def test_one_sided_units_match_their_definition(self):
+        for m in all_magmas(2):
+            t, n = m.table, m.size
+            lefts = tuple(e for e in range(n) if all(t[e][x] in (None, x) for x in range(n)))
+            rights = tuple(e for e in range(n) if all(t[x][e] in (None, x) for x in range(n)))
+            assert left_units(m) == lefts, m
+            assert right_units(m) == rights, m
 
     @given(magmas())
     def test_units_are_one_sided_units(self, m):
