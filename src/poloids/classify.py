@@ -22,7 +22,7 @@ A right poloid is the same thing as a small (left) constellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 from .tables import PartialMagma, Witness, left_units, right_units
@@ -370,21 +370,45 @@ def initial_units(m: PartialMagma) -> tuple[int, ...]:
 class ClassReport:
     """Everything classify() found out about one partial magma.
 
+    ``witnesses`` pairs each failed verdict with a counterexample.  The
+    units and the maps are read off the same analysis on first access,
+    so a caller that reads only verdicts never computes them.
     ``eps``/``vareps`` are present exactly when the magma is a poloid,
     ``phi`` when it is a right poloid, ``inverses`` when a groupoid.
-    ``witnesses`` pairs each failed verdict with a counterexample.
     """
 
     magma: PartialMagma
     verdicts: dict[str, bool]
-    units: tuple[int, ...]
-    left_units: tuple[int, ...]
-    right_units: tuple[int, ...]
-    eps: tuple[int, ...] | None
-    vareps: tuple[int, ...] | None
-    phi: tuple[int, ...] | None
-    inverses: tuple[int, ...] | None
     witnesses: tuple[tuple[str, Witness], ...]
+    _analysis: _Analysis = field(repr=False, compare=False)
+
+    @property
+    def units(self) -> tuple[int, ...]:
+        return self._analysis.units
+
+    @property
+    def left_units(self) -> tuple[int, ...]:
+        return self._analysis.lefts
+
+    @property
+    def right_units(self) -> tuple[int, ...]:
+        return self._analysis.rights
+
+    @property
+    def eps(self) -> tuple[int, ...] | None:
+        return self._analysis.unit_maps[0] if self.verdicts["poloid"] else None
+
+    @property
+    def vareps(self) -> tuple[int, ...] | None:
+        return self._analysis.unit_maps[1] if self.verdicts["poloid"] else None
+
+    @property
+    def phi(self) -> tuple[int, ...] | None:
+        return self._analysis.phi if self.verdicts["right_poloid"] else None
+
+    @property
+    def inverses(self) -> tuple[int, ...] | None:
+        return self._analysis.inverses if self.verdicts["groupoid"] else None
 
     def witness_for(self, verdict: str) -> Witness | None:
         for name, w in self.witnesses:
@@ -444,7 +468,8 @@ class ClassReport:
 
 
 def classify(m: PartialMagma) -> ClassReport:
-    """Read every verdict and its data off one analysis of the magma."""
+    """Read every verdict off one analysis of the magma; the report reads
+    its data off the same analysis when asked."""
     a = _Analysis(m)
     verdicts: dict[str, bool] = {}
     witnesses: list[tuple[str, Witness]] = []
@@ -453,16 +478,4 @@ def classify(m: PartialMagma) -> ClassReport:
         verdicts[name] = result is True
         if result is not True:
             witnesses.append((name, result))
-    eps, vareps = a.unit_maps if verdicts["poloid"] else (None, None)
-    return ClassReport(
-        magma=m,
-        verdicts=verdicts,
-        units=a.units,
-        left_units=a.lefts,
-        right_units=a.rights,
-        eps=eps,
-        vareps=vareps,
-        phi=a.phi if verdicts["right_poloid"] else None,
-        inverses=a.inverses if verdicts["groupoid"] else None,
-        witnesses=tuple(witnesses),
-    )
+    return ClassReport(m, verdicts, tuple(witnesses), a)

@@ -4,9 +4,9 @@ Tables on n elements are encoded flat: a tuple of n*n entries in
 ``range(n + 1)``, where ``n`` stands for an undefined cell; the
 all-undefined table is excluded.  ``all_magmas`` yields the tables in
 the lexicographic order of that encoding but builds them row by row;
-``count_by_class`` reads only verdicts off each.  ``filtered`` assigns
-cells in row-major order and drops a value as soon as a law the
-requested class implies is definitely broken:
+``count_by_class`` reads only the verdicts of each table's report.
+``filtered`` assigns cells in row-major order and drops a value as soon
+as a law the requested class implies is definitely broken:
 
 - the one-sided triple law, for every class except ``total`` (all the
   others are right-directed semigroupoids);
@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import permutations, product as iproduct
 from typing import Iterator
 
-from .classify import VERDICT_NAMES, _Analysis
+from .classify import VERDICT_NAMES, _Analysis, classify
 from .errors import BoundExceeded
 from .tables import PartialMagma
 
@@ -178,16 +178,16 @@ def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[Part
 def count_by_class(n: int) -> dict[str, int]:
     """How many partial magmas on n elements fall in each verdict class.
 
-    Reads the verdicts off one analysis per table without building a
-    report, so no fact that the verdicts do not need is computed.
+    Reads only the verdicts of each report, so the units and the maps,
+    which a report computes on first read, are computed only where a
+    verdict needs them.
     """
     counts = dict.fromkeys(VERDICT_NAMES, 0)
     total = 0
     for m in all_magmas(n):
         total += 1
-        a = _Analysis(m)
-        for name in VERDICT_NAMES:
-            if a.verdict(name) is True:
+        for name, ok in classify(m).verdicts.items():
+            if ok:
                 counts[name] += 1
     counts["partial_magmas"] = total
     return counts

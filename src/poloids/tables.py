@@ -130,19 +130,17 @@ def precedes(m: PartialMagma, x: int, y: int) -> bool:
 
 def left_units(m: PartialMagma) -> tuple[int, ...]:
     """Elements e with ex = x whenever ex is defined."""
-    n = m.size
     return tuple(
         e for e, row in enumerate(m.table)
-        if all(ex is None or ex == x for x, ex in zip(range(n), row))
+        if all(ex is None or ex == x for x, ex in enumerate(row))
     )
 
 
 def right_units(m: PartialMagma) -> tuple[int, ...]:
     """Elements e with xe = x whenever xe is defined."""
-    n = m.size
     return tuple(
         e for e, column in enumerate(zip(*m.table))
-        if all(xe is None or xe == x for x, xe in zip(range(n), column))
+        if all(xe is None or xe == x for x, xe in enumerate(column))
     )
 
 

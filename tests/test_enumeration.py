@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 from itertools import permutations, product
 
@@ -128,11 +129,21 @@ class TestCounts:
             assert counts[name] == expected[name]
 
     def test_three_elements_match_the_report_path(self, small_census):
-        # the census reads verdicts only; the fixture's classify pass is
-        # the oracle
+        # the fixture's pass over every report is the oracle
         expected = {name: len(small_census.by_class[name]) for name in VERDICT_NAMES}
         expected["partial_magmas"] = 4 ** 9 - 1
         assert count_by_class(3) == expected
+
+    def test_units_are_computed_only_where_a_verdict_reads_them(self, monkeypatch):
+        # a report computes its units on first read and the census reads
+        # only verdicts, so of the 80 two-element tables only the
+        # right-directed semigroupoids, whose phi needs them, scan units
+        module = importlib.import_module("poloids.classify")
+        scanned = []
+        real = module.left_units
+        monkeypatch.setattr(module, "left_units", lambda m: scanned.append(m) or real(m))
+        counts = count_by_class(2)
+        assert len(scanned) == counts["right_directed_semigroupoid"] == 21
 
 
 class TestCanonicalForm:
