@@ -76,32 +76,21 @@ def cmd_embed(args) -> int:
 
 def cmd_enumerate(args) -> int:
     n = args.n
-    if args.filter:
-        label, found = args.filter, enumeration.filtered(n, args.filter)
-    elif args.up_to_iso or args.emit:
-        label, found = "partial_magmas", enumeration.all_magmas(n)
+    label = args.filter or "partial_magmas"
+    if args.filter or args.up_to_iso:
+        found = list(enumeration.filtered(n, args.filter, up_to_iso=args.up_to_iso))
+    elif args.emit:
+        found = list(enumeration.all_magmas(n))
     else:
         counts = enumeration.count_by_class(n)
         print(f"partial_magmas: {counts['partial_magmas']}")
         for name in VERDICT_NAMES:
             print(f"{name}: {counts[name]}")
         return EXIT_OK
-    found = _representatives(found) if args.up_to_iso else list(found)
     print(f"{label}: {len(found)}")
     if args.emit:
         _emit(found, args.emit)
     return EXIT_OK
-
-
-def _representatives(magmas) -> list:
-    """One magma per isomorphism class, in canonical-form order.
-
-    Each class is represented by its first magma in the stream.
-    """
-    kept = {}
-    for m in magmas:
-        kept.setdefault(enumeration.canonical_form(m), m)
-    return [kept[k] for k in sorted(kept)]
 
 
 def _emit(found, directory: str) -> None:
@@ -181,7 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count partial magmas by class")
     p.add_argument("-n", type=int, required=True, help="carrier size")
     p.add_argument("--filter", choices=sorted(VERDICT_NAMES), help="count one class only")
-    p.add_argument("--up-to-iso", action="store_true", help="count up to isomorphism")
+    p.add_argument("--up-to-iso", action="store_true",
+                   help="one structure per isomorphism class, the least table of each, "
+                        "generated directly (up to 5 elements with --filter, 3 without "
+                        "or with --filter total)")
     p.add_argument("--emit", metavar="DIR", help="write the matching structures here")
     p.set_defaults(func=cmd_enumerate)
 

@@ -9,7 +9,9 @@ the lexicographic order of that encoding but builds them row by row;
 as a law the requested class implies is definitely broken:
 
 - the one-sided triple law, for every class except ``total`` (all the
-  others are right-directed semigroupoids);
+  others are right-directed semigroupoids), so with ``total`` or no
+  class every table is visited, and labelled tables are then taken from
+  ``all_magmas``;
 - the two-sided triple law, for the classes that imply ``semigroupoid``
   (semigroupoid, poloid, groupoid, monoid, group);
 - a local right unit, for the classes that imply ``right_poloid``
@@ -18,6 +20,20 @@ as a law the requested class implies is definitely broken:
 
 Only the triples that read the newly assigned cell are checked.  The
 survivors are still run through the real checkers.
+
+Up to isomorphism the walk keeps only the least table of each class
+(orderly generation: Read, "Every one a winner", 1978; McKay, J.
+Algorithms 1998).  Each node carries the relabellings pi that are still
+tied: pi(T) equals T at every flat position, in order, where both are
+determined.  A node is dropped as soon as some pi(T) is certainly
+smaller than T, and pi leaves the list for the subtree once pi(T) is
+certainly larger.  Every verdict class is closed under relabelling and
+the law prunes drop only tables that break a law, so the least member
+of each isomorphism class is reached and kept; every other member has a
+smaller relabelling and is dropped by the time its last cell is set.
+The least table is the class's ``canonical_form``, so the classes come
+out in canonical order.  The labelled walk is the same walk with no
+relabellings.
 """
 
 from __future__ import annotations
@@ -33,6 +49,7 @@ ELEMENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 RAW_BOUND = 3
 FILTERED_BOUND = 4
+ISO_BOUND = 5
 
 # classes whose members are always right-directed semigroupoids
 _RD_CLASSES = frozenset(VERDICT_NAMES) - {"total"}
@@ -131,21 +148,74 @@ def _cell_broken(values: list[int], n: int, k: int, two_sided: bool) -> bool:
     return False
 
 
-def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[PartialMagma]:
-    """Every partial magma on n elements in the given class.
+def _relabellings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Every relabelling but the identity, as (source, image, 0).
 
-    Uses the pruned walk described in the module docstring for every
-    class but ``total``, which is filtered out of :func:`all_magmas`.
+    The relabelled table pi(T) holds ``image[T[source[p]]]`` at flat
+    position p; the 0 is the first position not yet known to be tied.
     """
-    if verdict not in VERDICT_NAMES:
+    cells = range(n * n)
+    found = []
+    for perm in permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        inv = [0] * n  # inv[x] is the old label of the new element x
+        for old, new in enumerate(perm):
+            inv[new] = old
+        source = tuple(inv[p // n] * n + inv[p % n] for p in cells)
+        found.append((source, perm + (n,), 0))
+    return found
+
+
+def _still_least(values: list[int], alive: list) -> list | None:
+    """The relabellings still tied with the partial table T, or None once
+    one of them is certainly smaller than T.
+
+    Compares pi(T) with T position by position, from where the last
+    comparison stopped, while both are determined (``-1`` is not yet
+    chosen).  A pi that is certainly larger is dropped: the positions
+    that decided it are fixed in the whole subtree.
+    """
+    tied = []
+    for source, image, p in alive:
+        cells = len(source)
+        while p < cells:
+            t, s = values[p], values[source[p]]
+            if t < 0 or s < 0 or image[s] != t:
+                break
+            p += 1
+        if p < cells and t >= 0 and s >= 0:
+            if image[s] < t:
+                return None
+            continue
+        tied.append((source, image, p))
+    return tied
+
+
+def filtered(
+    n: int, verdict: str | None, bound: int | None = None, up_to_iso: bool = False
+) -> Iterator[PartialMagma]:
+    """Every partial magma on n elements in the given class, in
+    lexicographic table order; ``verdict=None`` puts no law on them.
+
+    With ``up_to_iso``, only the least table of each isomorphism class,
+    which is its :func:`canonical_form`.  The default ``bound`` is
+    ``RAW_BOUND`` for a class with no law to prune on (``None`` and
+    ``total``), ``ISO_BOUND`` up to isomorphism and ``FILTERED_BOUND``
+    otherwise.
+    """
+    if verdict is not None and verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
+    pruned = verdict in _RD_CLASSES  # else no law to prune on: every table is visited
+    if bound is None:
+        bound = RAW_BOUND if not pruned else ISO_BOUND if up_to_iso else FILTERED_BOUND
     if not 1 <= n <= bound:
-        raise BoundExceeded(f"filtered enumeration supports 1..{bound} elements, got {n}")
-    if verdict not in _RD_CLASSES and n > RAW_BOUND:
-        raise BoundExceeded(f"class {verdict!r} cannot be pruned; maximum is {RAW_BOUND}")
-    if verdict not in _RD_CLASSES or n <= 2:
-        # total cannot be pruned; on tiny spaces brute force is simpler
-        yield from (m for m in all_magmas(n) if matches(m, verdict))
+        what = f"class {verdict!r}" if verdict else "every table"
+        how = " up to isomorphism" if up_to_iso else ""
+        raise BoundExceeded(f"{what}{how}: enumeration supports 1..{bound} elements, got {n}")
+    if not pruned and not up_to_iso:
+        # the walk would visit every table; all_magmas builds them faster
+        yield from (m for m in all_magmas(n, bound) if verdict is None or matches(m, verdict))
         return
 
     two_sided = verdict in _SEMIGROUPOID_CLASSES
@@ -153,12 +223,12 @@ def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[Part
     cells = n * n
     values = [-1] * cells
 
-    def walk(k: int) -> Iterator[PartialMagma]:
+    def walk(k: int, alive: list) -> Iterator[PartialMagma]:
         if k == cells:
             if all(v == n for v in values):
                 return
             m = from_flat(tuple(values), n)
-            if matches(m, verdict):
+            if verdict is None or matches(m, verdict):
                 yield m
             return
         x, y = divmod(k, n)
@@ -167,12 +237,14 @@ def filtered(n: int, verdict: str, bound: int = FILTERED_BOUND) -> Iterator[Part
             values[k] = v
             if row_done and x not in values[k - y:k + 1]:
                 continue  # x.phi_x = x needs x in row x
-            if _cell_broken(values, n, k, two_sided):
+            if pruned and _cell_broken(values, n, k, two_sided):
                 continue
-            yield from walk(k + 1)
+            tied = _still_least(values, alive)
+            if tied is not None:
+                yield from walk(k + 1, tied)
         values[k] = -1
 
-    yield from walk(0)
+    yield from walk(0, _relabellings(n) if up_to_iso else [])
 
 
 def count_by_class(n: int) -> dict[str, int]:

@@ -51,6 +51,15 @@ def magma(names, rows):
     return PartialMagma(names, table)
 
 
+def relabel(m, perm):
+    """The copy of m in which element i is renamed perm[i]."""
+    table = [[None] * m.size for _ in range(m.size)]
+    for x, row in enumerate(m.table):
+        for y, c in enumerate(row):
+            table[perm[x]][perm[y]] = None if c is None else perm[c]
+    return PartialMagma(m.elements, tuple(map(tuple, table)))
+
+
 def trivial_group():
     return magma("e", [["e"]])
 

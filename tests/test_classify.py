@@ -3,9 +3,11 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from poloids import (
     MapMagma,
+    PartialMagma,
     PreconditionError,
     Witness,
     as_partial_magma,
@@ -34,6 +36,7 @@ from poloids.enumeration import all_magmas, filtered
 from conftest import (
     band_monoid,
     magma,
+    relabel,
     right_zero,
     three_unit_discrete,
     trivial_group,
@@ -419,3 +422,22 @@ class TestOneAnalysis:
         # the agreement check itself: a report of another table disagrees
         wrong = view_disagreements(right_zero(2), classify(z2()))
         assert {"poloid", "group", "normal", "phi_map", "effective_unit_maps"} <= set(wrong)
+
+
+@st.composite
+def relabelled_tables(draw):
+    n = draw(st.integers(1, 5))
+    cells = st.one_of(st.none(), st.integers(0, n - 1))
+    table = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(any(c is not None for row in table for c in row))
+    m = PartialMagma(tuple("abcde"[:n]), tuple(map(tuple, table)))
+    return m, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_tables())
+def test_verdicts_are_invariant_under_relabelling(case):
+    # every verdict class is closed under isomorphism, which the walk up
+    # to isomorphism relies on to keep only the least table of each class
+    m, perm = case
+    assert classify(relabel(m, perm)).verdicts == classify(m).verdicts

@@ -223,6 +223,12 @@ class TestEnumerate:
     def test_bound(self, capsys):
         assert main(["enumerate", "-n", "4"]) == 3
         assert main(["enumerate", "-n", "5", "--filter", "group"]) == 3
+        assert main(["enumerate", "-n", "6", "--filter", "group", "--up-to-iso"]) == 3
+        assert main(["enumerate", "-n", "4", "--filter", "total", "--up-to-iso"]) == 3
+        assert main(["enumerate", "-n", "4", "--up-to-iso"]) == 3
+        capsys.readouterr()
+        assert main(["enumerate", "-n", "5", "--filter", "group", "--up-to-iso"]) == 0
+        assert capsys.readouterr().out == "group: 1\n"
 
 
 class TestCompose:

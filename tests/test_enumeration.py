@@ -18,6 +18,8 @@ from poloids.enumeration import (
     to_flat,
 )
 
+from conftest import relabel
+
 
 class TestAllMagmas:
     def test_one_element(self):
@@ -73,7 +75,9 @@ class TestFiltered:
         for name, labelled, classes in (("poloid", 973, 55), ("right_poloid", 5039, 268)):
             found = list(filtered(4, name))
             assert len(found) == labelled, name
-            assert len({canonical_form(m) for m in found}) == classes, name
+            least = [to_flat(m) for m in filtered(4, name, up_to_iso=True)]
+            assert len(least) == classes, name
+            assert least == first_in_stream(found), name
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
@@ -88,8 +92,17 @@ class TestFiltered:
             next(filtered(4, "total"))
 
     def test_filtered_bound(self):
-        with pytest.raises(BoundExceeded):
-            next(filtered(5, "group"))
+        # the labelled walk stops at 4, the one up to isomorphism at 5;
+        # with no law to prune on, both visit every table and stop at 3
+        for n, verdict, up_to_iso in (
+            (5, "group", False),
+            (6, "group", True),
+            (4, "total", True),
+            (4, None, True),
+            (4, None, False),
+        ):
+            with pytest.raises(BoundExceeded):
+                next(filtered(n, verdict, up_to_iso=up_to_iso))
 
     def test_groups_at_four_elements(self):
         # pruning keeps the four-element search tractable; the labeled
@@ -101,6 +114,36 @@ class TestFiltered:
         assert len(groups) > 0
         forms = {canonical_form(m) for m in groups}
         assert len(forms) == 2  # the cyclic group and the double-swap group
+
+
+class TestUpToIsomorphism:
+    # the oracle is the dedupe the walk replaced: each class's first
+    # table in the labelled stream, in canonical-form order
+
+    def test_every_class_at_three_elements(self):
+        for n in (1, 2, 3):
+            for name in VERDICT_NAMES:
+                least = [to_flat(m) for m in filtered(n, name, up_to_iso=True)]
+                assert least == first_in_stream(filtered(n, name)), (n, name)
+
+    def test_every_table(self):
+        for n in (1, 2):
+            least = [to_flat(m) for m in filtered(n, None, up_to_iso=True)]
+            assert least == first_in_stream(all_magmas(n)), n
+        # 43,967 classes among the 262,143 three-element tables; each
+        # table yielded is its own canonical form, and they increase
+        least = list(filtered(3, None, up_to_iso=True))
+        assert len(least) == 43967
+        flats = [to_flat(m) for m in least]
+        assert flats == sorted(set(flats))
+        assert all(canonical_form(m) == f for m, f in zip(least, flats))
+
+    def test_poloids_at_five_elements(self):
+        # frozen after the labelled walk at five elements (29,221
+        # poloids) deduplicated by canonical_form gave the same 329
+        flats = [to_flat(m) for m in filtered(5, "poloid", up_to_iso=True)]
+        assert len(flats) == 329
+        assert flats == sorted(set(flats))
 
 
 class TestCounts:
@@ -181,16 +224,15 @@ class TestCanonicalForm:
             assert all(canonical_form(r) == form for r in relabelled)
 
 
+def first_in_stream(magmas) -> list:
+    """The first table of each isomorphism class, in canonical-form order."""
+    kept = {}
+    for m in magmas:
+        kept.setdefault(canonical_form(m), to_flat(m))
+    return [kept[form] for form in sorted(kept)]
+
+
 def self_swap(c):
     if c is None:
         return None
     return 1 - c
-
-
-def relabel(m, perm):
-    """The copy of m in which element i is renamed perm[i]."""
-    table = [[None] * m.size for _ in range(m.size)]
-    for x, row in enumerate(m.table):
-        for y, c in enumerate(row):
-            table[perm[x]][perm[y]] = None if c is None else perm[c]
-    return PartialMagma(m.elements, tuple(map(tuple, table)))
