@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .tables import PartialMagma, Witness, left_units, right_units
+from .tables import PartialMagma, Witness, _fact, left_units, right_units
 
 VERDICT_NAMES = (
     "semigroupoid",
@@ -39,18 +39,6 @@ VERDICT_NAMES = (
     "normal",
     "unit_posetal",
 )
-
-
-class _fact:
-    """A method run on first read; its value then shadows it on the instance."""
-
-    def __init__(self, method):
-        self.method = method
-        self.name = method.__name__
-
-    def __get__(self, obj, owner=None):
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
 
 
 class _Analysis:

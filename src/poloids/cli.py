@@ -4,6 +4,11 @@ Exit codes: 0 success or a true verdict, 1 a false verdict (the witness
 is printed), 2 parse or I/O failure, 3 precondition failure, 4 a broken
 internal invariant (a ``RuntimeError``; its message is printed, a
 defect in this package rather than in the input).
+
+The parser is built once, on the first call of ``main``, as it costs more
+than most requests of a program that calls ``main`` many times.  It holds
+no handler: ``main`` looks each up in ``_COMMANDS`` per call, so rebinding
+a ``cmd_*`` function there, as a tracer does and undoes, takes effect at once.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import enumeration, maps, morphisms, represent, tables
@@ -78,18 +84,21 @@ def cmd_enumerate(args) -> int:
     n = args.n
     label = args.filter or "partial_magmas"
     if args.filter or args.up_to_iso:
-        found = list(enumeration.filtered(n, args.filter, up_to_iso=args.up_to_iso))
+        found = enumeration.filtered(n, args.filter, up_to_iso=args.up_to_iso)
     elif args.emit:
-        found = list(enumeration.all_magmas(n))
+        found = enumeration.all_magmas(n)
     else:
         counts = enumeration.count_by_class(n)
         print(f"partial_magmas: {counts['partial_magmas']}")
         for name in VERDICT_NAMES:
             print(f"{name}: {counts[name]}")
         return EXIT_OK
-    print(f"{label}: {len(found)}")
     if args.emit:
+        found = list(found)
+        print(f"{label}: {len(found)}")
         _emit(found, args.emit)
+    else:  # count the stream without holding it
+        print(f"{label}: {sum(1 for _ in found)}")
     return EXIT_OK
 
 
@@ -126,12 +135,10 @@ def cmd_check_hom(args) -> int:
     morphism = morphisms.parse_morphism(src, dst, _read(args.map))
     hom = morphisms.is_homomorphism(morphism)
     refl = morphisms.reflects_definedness(morphism)
-    print("homomorphism: %s" % ("yes" if hom else "no"))
-    if not hom:
-        print("witness: " + hom.format(src.elements))
-    print("reflects_definedness: %s" % ("yes" if refl else "no"))
-    if not refl:
-        print("witness: " + refl.format(src.elements))
+    for label, verdict in (("homomorphism", hom), ("reflects_definedness", refl)):
+        print("%s: %s" % (label, "yes" if verdict else "no"))
+        if not verdict:
+            print("witness: " + verdict.format(src.elements))
     return EXIT_OK if hom else EXIT_FALSE
 
 
@@ -158,14 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a magma or map-magma file")
     p.add_argument("path")
     p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("embed", help="embed a poloid (or, with --pre, a normal right poloid)")
     p.add_argument("path")
     p.add_argument("--pre", action="store_true",
                    help="embed into a domain pretransformation magma")
     p.add_argument("-o", "--output", help="write the embedding here instead of stdout")
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("enumerate", help="count partial magmas by class")
     p.add_argument("-n", type=int, required=True, help="carrier size")
@@ -175,31 +180,32 @@ def build_parser() -> argparse.ArgumentParser:
                         "generated directly (up to 5 elements with --filter, 3 without "
                         "or with --filter total)")
     p.add_argument("--emit", metavar="DIR", help="write the matching structures here")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("compose", help="compose two maps from a map-magma file")
     p.add_argument("path")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("check-hom", help="check a morphism file between two magmas")
     p.add_argument("src")
     p.add_argument("dst")
     p.add_argument("map")
-    p.set_defaults(func=cmd_check_hom)
 
     p = sub.add_parser("iso", help="search for an isomorphism between two magmas")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=cmd_iso)
     return parser
 
 
+_parser = cache(build_parser)
+_COMMANDS = {"classify": cmd_classify, "embed": cmd_embed, "enumerate": cmd_enumerate,
+             "compose": cmd_compose, "check-hom": cmd_check_hom, "iso": cmd_iso}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

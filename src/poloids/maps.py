@@ -20,6 +20,9 @@ composite's domain is the g-preimage of dom(f).
 Members are kept in a canonical order (domain, then assignment, then
 codomain, all compared via ground-set positions) so that rendering a
 map magma as a Cayley table is deterministic.
+
+Each pair of members is composed once, into :attr:`MapMagma.table`,
+which every check on composites reads; maps keep their domain and image.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from itertools import combinations, product as iproduct
 from typing import Mapping
 
 from .errors import BoundExceeded, ParseError, PreconditionError
-from .tables import PartialMagma, Witness, _content_lines, _valid_token
+from .tables import PartialMagma, Witness, _content_lines, _fact, _valid_token
 
 
 class Mode(enum.Enum):
@@ -77,11 +80,11 @@ class Prefunction:
         if not self.assignment:
             raise ValueError("a prefunction must have a non-empty domain")
 
-    @property
+    @_fact
     def domain(self) -> tuple:
         return tuple(p for p, _ in self.assignment)
 
-    @property
+    @_fact
     def image(self) -> tuple:
         pos = {p: i for i, p in enumerate(self.ground)}
         return tuple(sorted({q for _, q in self.assignment}, key=pos.get))
@@ -162,24 +165,22 @@ def compose_maps(f, g, mode: Mode = Mode.SUPSET):
         raise ValueError("cannot compose a prefunction with a function")
     dom_f = set(f.domain)
     im_g = set(g.image)
+    dom = g.domain
     if mode is Mode.SUPSET:
         if not dom_f >= im_g:
             return None
-        dom = g.domain
     elif mode is Mode.OVERLAP:
         if not dom_f & im_g:
             return None
-        dom = tuple(p for p in g.domain if g(p) in dom_f)
+        dom = tuple(p for p in dom if g(p) in dom_f)
     elif mode is Mode.EXACT_IMAGE:
         if dom_f != im_g:
             return None
-        dom = g.domain
     elif mode is Mode.CODOMAIN:
         if not f_fn:
             raise ValueError("codomain composition needs functions")
         if dom_f != set(g.codomain):
             return None
-        dom = g.domain
     else:  # pragma: no cover
         raise ValueError(mode)
     pre = Prefunction(f.ground, {p: f(g(p)) for p in dom})
@@ -204,6 +205,9 @@ def default_map_name(m) -> str:
     if m.is_identity():
         return "Id[%s]" % ",".join(str(p) for p in m.domain)
     return "[%s]" % ",".join(f"{p}>{q}" for p, q in m.assignment)
+
+
+OUTSIDE = -1  # a MapMagma.table cell whose composite is not a member
 
 
 @dataclass(frozen=True)
@@ -246,6 +250,14 @@ class MapMagma:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @_fact
+    def table(self) -> tuple[tuple, ...]:
+        """``table[i][j]`` is the member index of ``members[i] . members[j]``,
+        ``None`` where it is undefined, or ``OUTSIDE`` where it is not a member."""
+        index = {m: i for i, m in enumerate(self.members)}
+        rows = ((compose_maps(f, g, self.mode) for g in self.members) for f in self.members)
+        return tuple(tuple(c if c is None else index.get(c, OUTSIDE) for c in row) for row in rows)
 
     def member_names(self) -> tuple[str, ...]:
         """File/report names: the given ones, or synthesized defaults."""
@@ -301,12 +313,9 @@ def full_transformation_magma(points, bound: int = 4) -> MapMagma:
 
 def is_closed(a: MapMagma):
     """True iff every defined composite of members is a member."""
-    member_set = set(a.members)
-    for i, f in enumerate(a.members):
-        for j, g in enumerate(a.members):
-            c = compose_maps(f, g, a.mode)
-            if c is not None and c not in member_set:
-                return Witness("not-closed", (i, j))
+    for i, row in enumerate(a.table):
+        if OUTSIDE in row:
+            return Witness("not-closed", (i, row.index(OUTSIDE)))
     return True
 
 
@@ -327,28 +336,25 @@ def is_transformation_poloid(a: MapMagma):
     sg = is_transformation_semigroupoid(a)
     if not sg:
         raise PreconditionError("not a transformation semigroupoid", sg)
-    closed = is_closed(a)
-    if not closed:
-        raise PreconditionError("not closed under composition", closed)
-    member_set = set(a.members)
-    for i, f in enumerate(a.members):
-        if identity_transformation(a.ground, f.domain) not in member_set:
-            return Witness("missing-unit", (i,))
-        if identity_transformation(a.ground, f.codomain) not in member_set:
-            return Witness("missing-unit", (i,))
-    return True
+    return _holds_identities(a, lambda f: (identity_transformation(a.ground, f.domain),
+                                           identity_transformation(a.ground, f.codomain)))
 
 
 def is_domain_pretransformation_magma(a: MapMagma):
     """Whether a closed pretransformation magma holds Id_dom(f) for each member f."""
     if a.mode is not Mode.SUPSET or isinstance(a.members[0], PartialFn):
         raise PreconditionError("expected a pretransformation magma (prefunctions, supset mode)")
+    return _holds_identities(a, lambda f: (identity_pretransformation(a.ground, f.domain),))
+
+
+def _holds_identities(a: MapMagma, identities):
+    """Whether a closed map magma holds ``identities(f)`` for each member f."""
     closed = is_closed(a)
     if not closed:
         raise PreconditionError("not closed under composition", closed)
     member_set = set(a.members)
     for i, f in enumerate(a.members):
-        if identity_pretransformation(a.ground, f.domain) not in member_set:
+        if not member_set.issuperset(identities(f)):
             return Witness("missing-unit", (i,))
     return True
 
@@ -358,17 +364,9 @@ def as_partial_magma(a: MapMagma) -> PartialMagma:
     closed = is_closed(a)
     if not closed:
         raise PreconditionError("map magma is not closed under composition", closed)
-    index = {m: i for i, m in enumerate(a.members)}
-    table = []
-    for f in a.members:
-        row = []
-        for g in a.members:
-            c = compose_maps(f, g, a.mode)
-            row.append(None if c is None else index[c])
-        table.append(tuple(row))
-    if all(cell is None for row in table for cell in row):
+    if all(cell is None for row in a.table for cell in row):
         raise PreconditionError("composition is nowhere defined; not a magma")
-    return PartialMagma(a.member_names(), tuple(table))
+    return PartialMagma(a.member_names(), a.table)
 
 
 def parse_map_magma(text: str) -> MapMagma:

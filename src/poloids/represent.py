@@ -29,7 +29,6 @@ from .maps import (
     Mode,
     PartialFn,
     Prefunction,
-    compose_maps,
     identity_pretransformation,
     is_closed,
     is_domain_pretransformation_magma,
@@ -72,15 +71,15 @@ def _codomain_upgrade(translations: list, eps) -> list:
     return [PartialFn(f, translations[e].domain) for f, e in zip(translations, eps)]
 
 
-def _check_structure_map(m: PartialMagma, maps: list, mode: Mode) -> None:
+def _check_structure_map(m: PartialMagma, image: MapMagma, assignment) -> None:
     """Products defined in the table iff composites defined, with equal values."""
     for x in range(m.size):
         for y in range(m.size):
-            c = compose_maps(maps[x], maps[y], mode)
+            c = image.table[assignment[x]][assignment[y]]
             xy = m.table[x][y]
             if (xy is None) != (c is None):
                 raise RuntimeError("definedness not preserved and reflected")
-            if xy is not None and c != maps[xy]:
+            if xy is not None and c != assignment[xy]:
                 raise RuntimeError("products not preserved")
 
 
@@ -96,14 +95,14 @@ def left_translation_embedding(p: PartialMagma) -> Embedding:
     if not report.verdicts["right_poloid"]:
         raise PreconditionError("not a right poloid", report.witness_for("right_poloid"))
     maps = _translations(p)
-    _check_structure_map(p, maps, Mode.SUPSET)
     members = sorted(set(maps), key=maps.index)
     injective = len(members) == p.size
     names = p.elements if injective else None
     image = MapMagma(p.elements, tuple(members), Mode.SUPSET, names)
+    assignment = tuple(image.member_index(f) for f in maps)
+    _check_structure_map(p, image, assignment)
     if not is_closed(image):
         raise RuntimeError("translation image not closed")
-    assignment = tuple(image.member_index(f) for f in maps)
     return Embedding(p, image, assignment)
 
 
@@ -127,18 +126,21 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
     upgraded = _codomain_upgrade(maps, report.eps)
     if len(set(upgraded)) != len(set(maps)):
         raise RuntimeError("codomain upgrade is not bijective")
+    image = MapMagma(p.elements, tuple(upgraded), Mode.SUPSET, p.elements)
+    t = [translations.member_index(f) for f in maps]
+    u = [image.member_index(f) for f in upgraded]
     for x in range(p.size):
         for y in range(p.size):
-            before = compose_maps(maps[x], maps[y], Mode.SUPSET)
-            after = compose_maps(upgraded[x], upgraded[y], Mode.SUPSET)
+            before = translations.table[t[x]][t[y]]
+            after = image.table[u[x]][u[y]]
             if (before is None) != (after is None):
                 raise RuntimeError("codomain upgrade changed composite definedness")
-            if before is not None and after != upgraded[p.table[x][y]]:
+            if before is not None and after != u[p.table[x][y]]:
                 raise RuntimeError("codomain upgrade changed a composite")
     for e in report.units:
         if not upgraded[e].is_identity():
             raise RuntimeError("unit translation did not become an identity transformation")
-    return MapMagma(p.elements, tuple(upgraded), Mode.SUPSET, p.elements)
+    return image
 
 
 def cayley_embedding(p: PartialMagma) -> Embedding:
@@ -156,18 +158,18 @@ def cayley_embedding(p: PartialMagma) -> Embedding:
     maps = _codomain_upgrade(_translations(p), report.eps)
     if len(set(maps)) != p.size:
         raise RuntimeError("embedding not injective")
-    _check_structure_map(p, maps, Mode.SUPSET)
+    image = MapMagma(p.elements, tuple(maps), Mode.SUPSET, p.elements)
+    assignment = tuple(image.member_index(f) for f in maps)
+    _check_structure_map(p, image, assignment)
     for e in report.units:
         if not maps[e].is_identity():
             raise RuntimeError("unit not sent to an identity transformation")
-    image = MapMagma(p.elements, tuple(maps), Mode.SUPSET, p.elements)
     try:  # also runs the closure and transformation-semigroupoid checks
         poloid = is_transformation_poloid(image)
     except PreconditionError as exc:
         raise RuntimeError(f"image is not a closed transformation semigroupoid: {exc}") from None
     if not poloid:
         raise RuntimeError("image is not a transformation poloid")
-    assignment = tuple(image.member_index(f) for f in maps)
     return Embedding(p, image, assignment)
 
 
@@ -204,8 +206,8 @@ def embed_right_poloid(p: PartialMagma) -> Embedding:
     image = MapMagma(p.elements, tuple(maps), Mode.SUPSET, p.elements)
     if not is_domain_pretransformation_magma(image):
         raise RuntimeError("image is not a domain pretransformation magma")
-    _check_structure_map(p, maps, Mode.SUPSET)
     assignment = tuple(image.member_index(f) for f in maps)
+    _check_structure_map(p, image, assignment)
     return Embedding(p, image, assignment)
 
 

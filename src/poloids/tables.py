@@ -32,6 +32,18 @@ def _content_lines(text: str) -> list[str]:
     return [line for line in lines if line]
 
 
+class _fact:
+    """A method run on first read; its value then shadows it on the instance."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Witness:
     """A finite counterexample to a structural check.

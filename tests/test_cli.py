@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from poloids import cli
 from poloids.cli import main
 
 RIGHT_ZERO = "elements: x y\nx: x y\ny: x y\n"
@@ -309,3 +310,49 @@ class TestIso:
         code = main(["iso", src, str(embedded)])
         assert code == 0
         assert "isomorphism: yes" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    # one parser serves every call in a process; failed and --help calls
+    # leave it as it was, and handlers are looked up on each call
+
+    def test_bad_calls_change_nothing(self, write, tmp_path, capsys, monkeypatch):
+        z2 = write("z2.magma", Z2)
+        requests = [
+            ["classify", z2],
+            ["classify", "--json", write("ids.maps", OVERLAPPING_IDS)],
+            ["embed", z2],
+            ["embed", write("two.magma", TWO_UNIT), "--pre", "-o", str(tmp_path / "x.maps")],
+            ["enumerate", "-n", "2", "--filter", "poloid", "--up-to-iso"],
+            ["enumerate", "-n", "1"],
+        ]
+
+        def run_all():
+            outcomes = []
+            for argv in requests:
+                code = main(argv)
+                outcomes.append((code, capsys.readouterr().out))
+            return outcomes
+
+        before = run_all()
+        assert [code for code, _ in before] == [0] * len(requests)
+
+        def no_rebuild():
+            raise AssertionError("parser built twice")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        for argv, code, err in [
+            (["frobnicate"], 2, "invalid choice"),
+            (["enumerate", "--filter", "poloid"], 2, "-n"),
+            (["--help"], 0, ""),
+            (["embed", "--help"], 0, ""),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            assert err in capsys.readouterr().err
+        assert run_all() == before
+
+    def test_handler_is_looked_up_per_call(self, write, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "classify", lambda args: 7)
+        assert main(["classify", write("z2.magma", Z2)]) == 7

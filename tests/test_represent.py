@@ -21,10 +21,13 @@ from poloids import (
     left_translation_embedding,
     serialize_embedding,
 )
-from poloids import represent
+from poloids import maps, represent
+from poloids.cli import main
 from poloids.enumeration import filtered
 
-from conftest import magma, right_zero, trivial_group, two_unit_groupoid, z2
+from conftest import (
+    magma, pair_groupoid2, right_zero, trivial_group, two_unit_groupoid, z2, z3,
+)
 
 
 class TestTranslations:
@@ -205,6 +208,53 @@ class TestEmbedRightPoloid:
                     assert e.member_for(phi[x]) == identity_pretransformation(
                         m.elements, f.domain
                     )
+
+
+class TestRoundTrip:
+    # embed, read the image back as a Cayley table, and find the source in it
+
+    @pytest.mark.parametrize("cls, embed, classes", [
+        ("poloid", cayley_embedding, 55),
+        ("normal", embed_right_poloid, 235),
+    ])
+    def test_every_class_at_four_elements(self, cls, embed, classes):
+        found = list(filtered(4, cls, up_to_iso=True))
+        assert len(found) == classes
+        for m in found:
+            assert find_isomorphism(m, as_partial_magma(embed(m).image)) is not None
+
+
+class TestComposesEachPairOnce:
+    # each pair of maps is composed once per map magma, however many
+    # checks read the composite
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = [0]
+        original = maps.compose_maps
+
+        def counted(f, g, mode=maps.Mode.SUPSET):
+            calls[0] += 1
+            return original(f, g, mode)
+
+        monkeypatch.setattr(maps, "compose_maps", counted)
+        return calls
+
+    @pytest.mark.parametrize("embed", [cayley_embedding, embed_right_poloid])
+    def test_embeddings(self, monkeypatch, embed):
+        calls = self._spy(monkeypatch)
+        for m in (z2(), z3(), two_unit_groupoid(), pair_groupoid2()):
+            calls[0] = 0
+            embed(m)
+            assert calls[0] == m.size ** 2
+
+    def test_classify_a_map_magma_file(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "image.maps"
+        path.write_text(serialize_embedding(cayley_embedding(pair_groupoid2())))
+        calls = self._spy(monkeypatch)
+        assert main(["classify", str(path)]) == 0
+        assert "poloid: yes" in capsys.readouterr().out
+        assert calls[0] == pair_groupoid2().size ** 2
 
 
 class TestSerialization:
