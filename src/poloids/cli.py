@@ -177,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=sorted(VERDICT_NAMES), help="count one class only")
     p.add_argument("--up-to-iso", action="store_true",
                    help="one structure per isomorphism class, the least table of each, "
-                        "generated directly (up to 5 elements with --filter, 3 without "
-                        "or with --filter total)")
+                        "generated directly (up to 5 elements with --filter, 3 without a "
+                        "triple law to prune on: no filter or --filter total)")
     p.add_argument("--emit", metavar="DIR", help="write the matching structures here")
 
     p = sub.add_parser("compose", help="compose two maps from a map-magma file")

@@ -8,10 +8,10 @@ the lexicographic order of that encoding but builds them row by row;
 ``filtered`` assigns cells in row-major order and drops a value as soon
 as a law the requested class implies is definitely broken:
 
+- totality, for the classes that imply ``total`` (total, monoid,
+  group): no cell is ever left undefined;
 - the one-sided triple law, for every class except ``total`` (all the
-  others are right-directed semigroupoids), so with ``total`` or no
-  class every table is visited, and labelled tables are then taken from
-  ``all_magmas``;
+  others are right-directed semigroupoids);
 - the two-sided triple law, for the classes that imply ``semigroupoid``
   (semigroupoid, poloid, groupoid, monoid, group);
 - a local right unit, for the classes that imply ``right_poloid``
@@ -59,6 +59,8 @@ _SEMIGROUPOID_CLASSES = frozenset({"semigroupoid", "poloid", "groupoid", "monoid
 _RIGHT_POLOID_CLASSES = frozenset(
     {"poloid", "groupoid", "monoid", "group", "right_poloid", "normal", "unit_posetal"}
 )
+# ... always total, so no cell is undefined
+_TOTAL_CLASSES = frozenset({"total", "monoid", "group"})
 
 
 def matches(m: PartialMagma, verdict: str) -> bool:
@@ -72,12 +74,11 @@ def matches(m: PartialMagma, verdict: str) -> bool:
     return bool(_Analysis(m).verdict(verdict))
 
 
-def from_flat(flat, n: int, elements=None) -> PartialMagma:
-    names = tuple(elements) if elements is not None else ELEMENT_NAMES[:n]
+def from_flat(flat, n: int) -> PartialMagma:
     table = tuple(
         tuple(v if v < n else None for v in flat[i * n:(i + 1) * n]) for i in range(n)
     )
-    return PartialMagma(names, table)
+    return PartialMagma(ELEMENT_NAMES[:n], table)
 
 
 def to_flat(m: PartialMagma) -> tuple[int, ...]:
@@ -85,15 +86,15 @@ def to_flat(m: PartialMagma) -> tuple[int, ...]:
     return tuple(n if c is None else c for row in m.table for c in row)
 
 
-def all_magmas(n: int, bound: int = RAW_BOUND) -> Iterator[PartialMagma]:
+def all_magmas(n: int) -> Iterator[PartialMagma]:
     """Every partial magma on n elements, in lexicographic table order.
 
     Tables are generated row by row, as n-tuples of rows over
     ``0..n-1`` and then ``None``, which is the order of the flat
     encoding; the all-undefined table, the last one, is skipped.
     """
-    if not 1 <= n <= bound:
-        raise BoundExceeded(f"raw enumeration supports 1..{bound} elements, got {n}")
+    if not 1 <= n <= RAW_BOUND:
+        raise BoundExceeded(f"raw enumeration supports 1..{RAW_BOUND} elements, got {n}")
     names = ELEMENT_NAMES[:n]
     rows = tuple(iproduct((*range(n), None), repeat=n))
     empty = (rows[-1],) * n
@@ -192,34 +193,27 @@ def _still_least(values: list[int], alive: list) -> list | None:
     return tied
 
 
-def filtered(
-    n: int, verdict: str | None, bound: int | None = None, up_to_iso: bool = False
-) -> Iterator[PartialMagma]:
+def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[PartialMagma]:
     """Every partial magma on n elements in the given class, in
     lexicographic table order; ``verdict=None`` puts no law on them.
 
     With ``up_to_iso``, only the least table of each isomorphism class,
-    which is its :func:`canonical_form`.  The default ``bound`` is
-    ``RAW_BOUND`` for a class with no law to prune on (``None`` and
-    ``total``), ``ISO_BOUND`` up to isomorphism and ``FILTERED_BOUND``
-    otherwise.
+    which is its :func:`canonical_form`.  The bound is ``RAW_BOUND`` for
+    a class with no triple law to prune on (``None`` and ``total``),
+    ``ISO_BOUND`` up to isomorphism and ``FILTERED_BOUND`` otherwise.
     """
     if verdict is not None and verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
-    pruned = verdict in _RD_CLASSES  # else no law to prune on: every table is visited
-    if bound is None:
-        bound = RAW_BOUND if not pruned else ISO_BOUND if up_to_iso else FILTERED_BOUND
+    pruned = verdict in _RD_CLASSES
+    bound = RAW_BOUND if not pruned else ISO_BOUND if up_to_iso else FILTERED_BOUND
     if not 1 <= n <= bound:
         what = f"class {verdict!r}" if verdict else "every table"
         how = " up to isomorphism" if up_to_iso else ""
         raise BoundExceeded(f"{what}{how}: enumeration supports 1..{bound} elements, got {n}")
-    if not pruned and not up_to_iso:
-        # the walk would visit every table; all_magmas builds them faster
-        yield from (m for m in all_magmas(n, bound) if verdict is None or matches(m, verdict))
-        return
 
     two_sided = verdict in _SEMIGROUPOID_CLASSES
     right_unit = verdict in _RIGHT_POLOID_CLASSES
+    choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
     cells = n * n
     values = [-1] * cells
 
@@ -233,7 +227,7 @@ def filtered(
             return
         x, y = divmod(k, n)
         row_done = right_unit and y == n - 1
-        for v in range(n + 1):
+        for v in choices:
             values[k] = v
             if row_done and x not in values[k - y:k + 1]:
                 continue  # x.phi_x = x needs x in row x

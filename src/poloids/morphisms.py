@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .classify import _Analysis, _require
 from .errors import BoundExceeded, ParseError, PreconditionError
-from .maps import MapMagma, Mode, PartialFn, as_partial_magma, compose_maps
+from .maps import OUTSIDE, MapMagma, Mode, PartialFn, as_partial_magma, compose_maps
 from .tables import PartialMagma, Witness, _content_lines, units
 
 
@@ -292,30 +292,28 @@ def is_poloid_action(a: ActionSpec) -> ActionResult:
     """
     source = _Analysis(a.poloid)
     _require(source.unit_maps, "not a poloid")
-    members = list(dict.fromkeys(a.assignment))
-    added = []
-    frontier = list(members)
-    while frontier:
-        new = []
-        for f in members:
-            for g in frontier:
-                for c in (compose_maps(f, g, Mode.SUPSET), compose_maps(g, f, Mode.SUPSET)):
-                    if c is not None and c not in members and c not in new:
-                        new.append(c)
-        members.extend(new)
-        added.extend(new)
-        frontier = new
-    image = MapMagma(a.ground, tuple(members), Mode.SUPSET)
+    image = MapMagma(a.ground, tuple(dict.fromkeys(a.assignment)), Mode.SUPSET)
+    added = ()
+    while True:  # adjoin the composites that fall outside until none is left
+        members = image.members
+        new = tuple(dict.fromkeys(
+            compose_maps(members[i], members[j], Mode.SUPSET)
+            for i, row in enumerate(image.table) for j, c in enumerate(row) if c == OUTSIDE
+        ))
+        if not new:
+            break
+        added += new
+        image = MapMagma(a.ground, members + new, Mode.SUPSET)
     target = as_partial_magma(image)
     mapping = tuple(image.member_index(f) for f in a.assignment)
     hom = _homomorphism(Morphism(a.poloid, target, mapping), source, _Analysis(target))
     if not hom:
-        return ActionResult(False, hom, image, tuple(added))
+        return ActionResult(False, hom, image, added)
     for e in source.units:
         # PartialFn.is_identity also demands dom = cod, as required here
         if not a.assignment[e].is_identity():
-            return ActionResult(False, Witness("non-identity-unit", (e,)), image, tuple(added))
-    return ActionResult(True, None, image, tuple(added))
+            return ActionResult(False, Witness("non-identity-unit", (e,)), image, added)
+    return ActionResult(True, None, image, added)
 
 
 def parse_morphism(src: PartialMagma, dst: PartialMagma, text: str) -> Morphism:

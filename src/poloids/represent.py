@@ -200,9 +200,6 @@ def embed_right_poloid(p: PartialMagma) -> Embedding:
         wanted = identity_pretransformation(p.elements, maps[x].domain)
         if maps[phi[x]] != wanted:
             raise RuntimeError("translation of phi_x is not Id on dom of x's translation")
-    domain_ids = {identity_pretransformation(p.elements, f.domain) for f in maps}
-    if not domain_ids <= set(maps):
-        raise RuntimeError("domain identities escaped the translation image")
     image = MapMagma(p.elements, tuple(maps), Mode.SUPSET, p.elements)
     if not is_domain_pretransformation_magma(image):
         raise RuntimeError("image is not a domain pretransformation magma")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poloids import cli
 from poloids.cli import main
@@ -356,3 +359,41 @@ class TestParserReuse:
     def test_handler_is_looked_up_per_call(self, write, capsys, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, "classify", lambda args: 7)
         assert main(["classify", write("z2.magma", Z2)]) == 7
+
+
+_TOKENS = ("elements:", "set:", "mode:", "supset", "codomain", "map", "cod", "hom:", "iso:",
+           "->", "-", ":", "#", "e", "g", "x", "y", "1", "2", " ", "\n")
+_CONTENTS = st.one_of(
+    st.text(max_size=80),
+    st.binary(max_size=80),
+    st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join),
+    st.sampled_from((RIGHT_ZERO, Z2, TWO_UNIT, OVERLAPPING_IDS, GAP_MAGMA, "hom: e -> e\nhom: g -> g\n")),
+)
+# each subcommand with the number of file arguments it reads
+_REQUESTS = (("classify", 1), ("classify --json", 1), ("embed", 1), ("embed --pre", 1),
+             ("iso", 2), ("check-hom", 3), ("compose", 1))
+
+
+class TestExitContract:
+    # whatever the files hold, a request ends in a verdict (0, 1), bad
+    # input (2) or a failed precondition (3), and raises nothing
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        request=st.sampled_from(_REQUESTS),
+        contents=st.lists(_CONTENTS, min_size=3, max_size=3),
+        names=st.lists(st.sampled_from(("e", "g", "x", "p", "q", "f")), min_size=2, max_size=2),
+    )
+    def test_any_file_contents(self, request, contents, names):
+        command, files = request
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, content in enumerate(contents[:files]):
+                path = Path(tmp) / f"in{i}"
+                if isinstance(content, bytes):
+                    path.write_bytes(content)
+                else:
+                    path.write_text(content, encoding="utf-8")
+                paths.append(str(path))
+            argv = command.split() + paths + (names if command == "compose" else [])
+            assert main(argv) in (0, 1, 2, 3)

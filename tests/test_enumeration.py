@@ -93,7 +93,7 @@ class TestFiltered:
 
     def test_filtered_bound(self):
         # the labelled walk stops at 4, the one up to isomorphism at 5;
-        # with no law to prune on, both visit every table and stop at 3
+        # with no triple law to prune on (no class, or total), both stop at 3
         for n, verdict, up_to_iso in (
             (5, "group", False),
             (6, "group", True),
@@ -114,6 +114,37 @@ class TestFiltered:
         assert len(groups) > 0
         forms = {canonical_form(m) for m in groups}
         assert len(forms) == 2  # the cyclic group and the double-swap group
+
+
+class TestTotalityPrune:
+    # the classes that imply total never try an undefined cell; the
+    # oracle is the poloid walk, which does try them, filtered by matches
+
+    def test_labelled_at_four_elements(self):
+        poloids = list(filtered(4, "poloid"))
+        for name, count in (("monoid", 624), ("group", 16)):
+            found = list(filtered(4, name))
+            assert found == [m for m in poloids if matches(m, name)], name
+            assert len(found) == count, name
+
+    def test_up_to_isomorphism_at_five_elements(self):
+        poloids = list(filtered(5, "poloid", up_to_iso=True))
+        assert len(poloids) == 329
+        for name, count in (("monoid", 228), ("group", 1)):
+            found = list(filtered(5, name, up_to_iso=True))
+            assert found == [m for m in poloids if matches(m, name)], name
+            assert len(found) == count, name
+
+    def test_filtered_never_lists_every_table(self, monkeypatch):
+        module = importlib.import_module("poloids.enumeration")
+
+        def refuse(n):
+            raise AssertionError("filtered called all_magmas")
+
+        monkeypatch.setattr(module, "all_magmas", refuse)
+        for name in (None, *VERDICT_NAMES):
+            for up_to_iso in (False, True):
+                assert list(filtered(2, name, up_to_iso=up_to_iso)), (name, up_to_iso)
 
 
 class TestUpToIsomorphism:

@@ -29,10 +29,13 @@ from poloids import (
     serialize_morphism,
 )
 
+import poloids.maps as maps
 import poloids.morphisms as morphisms
 from poloids.classify import _Analysis
 
-from conftest import band_monoid, magma, right_zero, trivial_group, two_unit_groupoid, z2, z3
+from conftest import (
+    band_monoid, magma, pair_groupoid2, right_zero, trivial_group, two_unit_groupoid, z2, z3,
+)
 
 
 def identity_morphism(m):
@@ -356,6 +359,23 @@ class TestActions:
                     for t in X
                 ) and all(maps[e](t) == t for t in X)
                 assert bool(result) == classical
+
+    def test_composes_each_pair_once(self, monkeypatch):
+        # the closure and the image's Cayley table read one MapMagma.table
+        m = pair_groupoid2()
+        e = cayley_embedding(m)
+        spec = ActionSpec(m, m.elements, tuple(e.member_for(i) for i in range(m.size)))
+        calls = [0]
+        original = maps.compose_maps
+
+        def counted(f, g, mode=maps.Mode.SUPSET):
+            calls[0] += 1
+            return original(f, g, mode)
+
+        monkeypatch.setattr(maps, "compose_maps", counted)
+        monkeypatch.setattr(morphisms, "compose_maps", counted)
+        assert is_poloid_action(spec)
+        assert calls[0] == m.size ** 2 == 16
 
     def test_requires_poloid(self):
         X = (1, 2)

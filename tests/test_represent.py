@@ -248,6 +248,22 @@ class TestComposesEachPairOnce:
             embed(m)
             assert calls[0] == m.size ** 2
 
+    def test_embed_right_poloid_builds_each_domain_identity_twice(self, monkeypatch):
+        # once in the phi_x check and once in the domain pretransformation check
+        calls = [0]
+        original = maps.identity_pretransformation
+
+        def counted(ground, domain):
+            calls[0] += 1
+            return original(ground, domain)
+
+        monkeypatch.setattr(maps, "identity_pretransformation", counted)
+        monkeypatch.setattr(represent, "identity_pretransformation", counted)
+        for m in (z2(), z3(), two_unit_groupoid(), pair_groupoid2(), right_zero(1)):
+            calls[0] = 0
+            embed_right_poloid(m)
+            assert calls[0] == 2 * m.size
+
     def test_classify_a_map_magma_file(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "image.maps"
         path.write_text(serialize_embedding(cayley_embedding(pair_groupoid2())))
