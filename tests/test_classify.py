@@ -363,6 +363,40 @@ class TestHierarchy:
                 assert bool(is_normal(m)) == bool(is_unit_posetal(m))
 
 
+class TestDuality:
+    # the opposite magma, with the transposed table, is a poloid exactly
+    # when the magma is one, and its unit maps are swapped: eps_x of the
+    # magma is vareps_x of the opposite; the right-handed classes have no
+    # such dual and are not checked
+    SELF_DUAL = ("semigroupoid", "poloid", "groupoid", "total", "monoid", "group")
+
+    @staticmethod
+    def opposite(m):
+        return PartialMagma(m.elements, tuple(zip(*m.table)))
+
+    def assert_dual(self, m):
+        r, op = classify(m), classify(self.opposite(m))
+        for name in self.SELF_DUAL:
+            assert op.verdicts[name] == r.verdicts[name], (m.table, name)
+        assert (op.eps, op.vareps) == (r.vareps, r.eps), m.table
+
+    def test_every_table_up_to_two_elements(self):
+        for n in (1, 2):
+            for m in all_magmas(n):
+                self.assert_dual(m)
+
+    def test_every_seventh_table_on_three_elements(self):
+        for i, m in enumerate(all_magmas(3)):
+            if i % 7 == 0:
+                self.assert_dual(m)
+
+    def test_labelled_poloids_on_four_elements(self):
+        poloids = list(filtered(4, "poloid"))
+        assert len(poloids) == 973
+        for m in poloids:
+            self.assert_dual(m)
+
+
 class TestClassifyReport:
     def test_right_zero_band(self):
         r = classify(right_zero(2))

@@ -219,6 +219,31 @@ class TestCounts:
         counts = count_by_class(2)
         assert len(scanned) == counts["right_directed_semigroupoid"] == 21
 
+    @pytest.mark.parametrize("n, reports", [(2, 21), (3, 681)])
+    def test_reports_only_the_right_directed_semigroupoids(self, monkeypatch, n, reports):
+        # every class but total lies inside the right-directed
+        # semigroupoids, so no other table needs a report
+        module = importlib.import_module("poloids.enumeration")
+        built = []
+        real = module.classify
+        monkeypatch.setattr(module, "classify", lambda m: built.append(m) or real(m))
+        counts = count_by_class(n)
+        assert len(built) == counts["right_directed_semigroupoid"] == reports
+
+    def test_agrees_with_the_walk_and_the_closed_forms(self):
+        # the oracle shares no path with the census: the pruned walk
+        # lists the right-directed semigroupoids, and the total and
+        # partial counts are the closed forms, the first tied to the walk
+        for n in (1, 2, 3):
+            expected = dict.fromkeys(VERDICT_NAMES, 0)
+            for m in filtered(n, "right_directed_semigroupoid"):
+                for name, ok in classify(m).verdicts.items():
+                    expected[name] += ok
+            assert sum(1 for _ in filtered(n, "total")) == n ** (n * n)
+            expected["total"] = n ** (n * n)
+            expected["partial_magmas"] = (n + 1) ** (n * n) - 1
+            assert count_by_class(n) == expected, n
+
 
 class TestCanonicalForm:
     def test_invariant_under_relabelling(self):

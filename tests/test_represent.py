@@ -213,12 +213,13 @@ class TestEmbedRightPoloid:
 class TestRoundTrip:
     # embed, read the image back as a Cayley table, and find the source in it
 
-    @pytest.mark.parametrize("cls, embed, classes", [
-        ("poloid", cayley_embedding, 55),
-        ("normal", embed_right_poloid, 235),
+    @pytest.mark.parametrize("n, cls, embed, classes", [
+        (4, "poloid", cayley_embedding, 55),
+        (4, "normal", embed_right_poloid, 235),
+        (5, "poloid", cayley_embedding, 329),
     ])
-    def test_every_class_at_four_elements(self, cls, embed, classes):
-        found = list(filtered(4, cls, up_to_iso=True))
+    def test_every_class(self, n, cls, embed, classes):
+        found = list(filtered(n, cls, up_to_iso=True))
         assert len(found) == classes
         for m in found:
             assert find_isomorphism(m, as_partial_magma(embed(m).image)) is not None
