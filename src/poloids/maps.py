@@ -23,6 +23,10 @@ map magma as a Cayley table is deterministic.
 
 Each pair of members is composed once, into :attr:`MapMagma.table`,
 which every check on composites reads; maps keep their domain and image.
+
+Each rule on maps is checked by its constructor (ground set, assignment,
+codomain, one kind of distinct members with distinct names);
+:func:`parse_map_magma` checks the layout and reports theirs as ``ParseError``.
 """
 
 from __future__ import annotations
@@ -111,12 +115,13 @@ class PartialFn:
 
     def __post_init__(self):
         pos = {p: i for i, p in enumerate(self.pre.ground)}
-        cod = tuple(sorted(set(self.codomain), key=pos.get))
-        if len(cod) != len(tuple(self.codomain)):
-            raise ValueError("duplicate codomain point")
-        for p in cod:
+        given = tuple(self.codomain)
+        for p in given:
             if p not in pos:
                 raise ValueError(f"codomain point {p!r} not in the ground set")
+        cod = tuple(sorted(set(given), key=pos.get))
+        if len(cod) != len(given):
+            raise ValueError("duplicate codomain point")
         object.__setattr__(self, "codomain", cod)
         if not set(self.pre.image) <= set(cod):
             raise ValueError("codomain must contain the image")
@@ -285,11 +290,14 @@ def compose(a: MapMagma, f, g):
     return compose_maps(f, g, a.mode)
 
 
-def full_pretransformation_magma(points, bound: int = 4) -> MapMagma:
+FULL_MAGMA_BOUND = 4  # largest ground set the full map magmas are built on
+
+
+def full_pretransformation_magma(points) -> MapMagma:
     """All non-empty prefunctions on ``points``, under SUPSET composition."""
     points = tuple(points)
-    if len(points) > bound:
-        raise BoundExceeded(f"ground set of {len(points)} exceeds bound {bound}")
+    if len(points) > FULL_MAGMA_BOUND:
+        raise BoundExceeded(f"ground set of {len(points)} exceeds bound {FULL_MAGMA_BOUND}")
     members = []
     for choice in iproduct(range(len(points) + 1), repeat=len(points)):
         pairs = {p: points[c] for p, c in zip(points, choice) if c < len(points)}
@@ -298,9 +306,9 @@ def full_pretransformation_magma(points, bound: int = 4) -> MapMagma:
     return MapMagma(points, tuple(members), Mode.SUPSET)
 
 
-def full_transformation_magma(points, bound: int = 4) -> MapMagma:
+def full_transformation_magma(points) -> MapMagma:
     """All non-empty partial functions on ``points``, under SUPSET composition."""
-    base = full_pretransformation_magma(points, bound)
+    base = full_pretransformation_magma(points)
     points = base.ground
     members = []
     for pre in base.members:
@@ -385,8 +393,6 @@ def parse_map_magma(text: str) -> MapMagma:
     if head.strip() != "set" or not sep:
         raise ParseError("map-magma file must start with a 'set:' line")
     points = tuple(rest.split())
-    if not points or len(set(points)) != len(points):
-        raise ParseError("ground set must be non-empty and duplicate-free")
     for p in points:
         if not _valid_token(p):
             raise ParseError(f"invalid point token {p!r}")
@@ -397,11 +403,10 @@ def parse_map_magma(text: str) -> MapMagma:
         mode = Mode(rest.strip())
     except ValueError:
         raise ParseError(f"unknown mode {rest.strip()!r}") from None
-    point_set = set(points)
     body = lines[2:]
     iso = body[body.index("iso:"):] if "iso:" in body else []
 
-    entries: list[tuple[str, dict, tuple | None]] = []  # (name, assignment, cod)
+    entries: list[list] = []  # [name, pairs, cod or None]
     for line in body[:len(body) - len(iso)]:
         head, sep, rest = line.partition(":")
         if not sep:
@@ -413,57 +418,37 @@ def parse_map_magma(text: str) -> MapMagma:
         if not _valid_token(name):
             raise ParseError(f"invalid map name {name!r}")
         if kind == "map":
-            if any(name == other for other, _, _ in entries):
-                raise ParseError(f"duplicate map name {name!r}")
-            pairs = {}
+            pairs = []
             for tok in rest.split():
                 p, arrow, q = tok.partition("->")
-                if not arrow or p not in point_set or q not in point_set:
+                if not arrow:
                     raise ParseError(f"map {name!r}: bad pair {tok!r}")
-                if p in pairs:
-                    raise ParseError(f"map {name!r}: point {p!r} assigned twice")
-                pairs[p] = q
-            if not pairs:
-                raise ParseError(f"map {name!r} has an empty domain")
-            entries.append((name, pairs, None))
+                pairs.append((p, q))
+            entries.append([name, pairs, None])
         else:
             if not entries or entries[-1][0] != name:
                 raise ParseError(f"cod line for {name!r} must follow its map line")
             if entries[-1][2] is not None:
                 raise ParseError(f"duplicate cod line for {name!r}")
-            cod = tuple(rest.split())
-            for p in cod:
-                if p not in point_set:
-                    raise ParseError(f"cod {name!r}: unknown point {p!r}")
-            if len(set(cod)) != len(cod):
-                raise ParseError(f"cod {name!r}: duplicate point")
-            entries[-1] = (name, entries[-1][1], cod)
+            entries[-1][2] = tuple(rest.split())
 
-    if not entries:
-        raise ParseError("map-magma file has no maps")
-    with_cod = [e for e in entries if e[2] is not None]
-    if with_cod and len(with_cod) != len(entries):
-        raise ParseError("either every map or no map may carry a codomain")
-    members = []
-    names = []
-    for name, pairs, cod in entries:
-        pre = Prefunction(points, pairs)
-        if cod is not None:
-            if not set(pre.image) <= set(cod):
-                raise ParseError(f"cod {name!r} does not cover the map's image")
-            members.append(PartialFn(pre, cod))
-        else:
-            members.append(pre)
-        names.append(name)
+    names = tuple(name for name, _, _ in entries)
     for line in iso[1:]:
         element, arrow, member = (part.strip() for part in line.partition("->"))
         if not arrow or not _valid_token(element) or not _valid_token(member):
             raise ParseError(f"expected '<element> -> <map>' in the iso block, got {line!r}")
         if member not in names:
             raise ParseError(f"iso line {line!r}: unknown map {member!r}")
+    members = []
+    for name, pairs, cod in entries:
+        try:
+            pre = Prefunction(points, pairs)
+            members.append(pre if cod is None else PartialFn(pre, cod))
+        except ValueError as exc:
+            raise ParseError(f"map {name!r}: {exc}") from None
     try:
-        return MapMagma(points, tuple(members), mode, tuple(names))
-    except ValueError as exc:  # duplicate maps, or codomain mode without codomains
+        return MapMagma(points, tuple(members), mode, names)
+    except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 

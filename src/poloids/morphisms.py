@@ -4,6 +4,11 @@ A morphism is a total map between carriers.  Product preservation and
 definedness reflection are kept as separate predicates: a homomorphism
 must turn defined products into defined products, but only when it also
 reflects definedness does its image inherit the poloid structure.
+
+Each rule is checked in one place: :func:`_preserves` and :func:`_reflects`
+are the two halves of a structure map for morphisms, the isomorphism search
+and the embeddings of :mod:`poloids.represent` alike, and :func:`_restrict`
+is the closure check of a subset for subpoloids and images.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from dataclasses import dataclass
 from .classify import _Analysis, _require
 from .errors import BoundExceeded, ParseError, PreconditionError
 from .maps import OUTSIDE, MapMagma, Mode, PartialFn, as_partial_magma, compose_maps
-from .tables import PartialMagma, Witness, _content_lines, units
+from .tables import PartialMagma, Witness, _content_lines, _is_index, units
+
+ISO_SEARCH_BOUND = 8  # largest carrier find_isomorphism searches
 
 
 @dataclass(frozen=True)
@@ -29,8 +36,8 @@ class Morphism:
         if len(self.mapping) != self.source.size:
             raise ValueError("mapping must cover every source element")
         for v in self.mapping:
-            if not 0 <= v < self.target.size:
-                raise ValueError(f"mapping value {v!r} out of range")
+            if not _is_index(v, self.target.size):
+                raise ValueError(f"mapping value {v!r} is not a target element index")
 
     def inverse(self) -> Morphism:
         if len(set(self.mapping)) != self.source.size or self.source.size != self.target.size:
@@ -39,6 +46,39 @@ class Morphism:
         for i, v in enumerate(self.mapping):
             inv[v] = i
         return Morphism(self.target, self.source, tuple(inv))
+
+
+def _preserves(s, t, f):
+    """True, or the first product-mismatch (x, y): a product xy defined in
+    table ``s`` whose image f(x)f(y) in table ``t`` is undefined or not f(xy)."""
+    for x, row in enumerate(s):
+        image_row = t[f[x]]
+        for y, xy in enumerate(row):
+            if xy is not None and image_row[f[y]] != f[xy]:
+                return Witness("product-mismatch", (x, y))
+    return True
+
+
+def _reflects(s, t, f):
+    """True, or the first definedness (x, y): xy undefined in table ``s``
+    while f(x)f(y) is defined in table ``t``."""
+    for x, row in enumerate(s):
+        image_row = t[f[x]]
+        for y, xy in enumerate(row):
+            if xy is None and image_row[f[y]] is not None:
+                return Witness("definedness", (x, y))
+    return True
+
+
+def _restrict(t, sub):
+    """Table ``t`` on the sorted indices ``sub``, reindexed by position in
+    ``sub``, or the first not-closed (x, y) whose product leaves ``sub``."""
+    back = {v: i for i, v in enumerate(sub)}
+    for x in sub:
+        for y in sub:
+            if t[x][y] is not None and t[x][y] not in back:
+                return Witness("not-closed", (x, y))
+    return tuple(tuple(None if t[x][y] is None else back[t[x][y]] for y in sub) for x in sub)
 
 
 def is_homomorphism(m: Morphism):
@@ -55,14 +95,10 @@ def _homomorphism(m: Morphism, src: _Analysis, tgt: _Analysis):
     """:func:`is_homomorphism`, reading the two magmas' facts off the
     given analyses so a caller that already has them pays for none twice."""
     src_eps, src_vareps = _require(src.unit_maps, "source is not a poloid")
-    s, t, f = m.source.table, m.target.table, m.mapping
-    for x in range(m.source.size):
-        for y in range(m.source.size):
-            xy = s[x][y]
-            if xy is None:
-                continue
-            if t[f[x]][f[y]] is None or t[f[x]][f[y]] != f[xy]:
-                return Witness("product-mismatch", (x, y))
+    f = m.mapping
+    preserved = _preserves(m.source.table, m.target.table, f)
+    if not preserved:
+        return preserved
     target_units = set(tgt.units)
     for e in src.units:
         if f[e] not in target_units:
@@ -79,12 +115,7 @@ def _homomorphism(m: Morphism, src: _Analysis, tgt: _Analysis):
 
 def reflects_definedness(m: Morphism):
     """Whether defined image products pull back to defined products."""
-    s, t, f = m.source.table, m.target.table, m.mapping
-    for x in range(m.source.size):
-        for y in range(m.source.size):
-            if t[f[x]][f[y]] is not None and s[x][y] is None:
-                return Witness("definedness", (x, y))
-    return True
+    return _reflects(m.source.table, m.target.table, m.mapping)
 
 
 def image_poloid(m: Morphism) -> PartialMagma:
@@ -96,21 +127,10 @@ def image_poloid(m: Morphism) -> PartialMagma:
     if not refl:
         raise PreconditionError("does not reflect definedness", refl)
     image = sorted(set(m.mapping))
-    back = {v: i for i, v in enumerate(image)}
-    t = m.target.table
-    table = []
-    for u in image:
-        row = []
-        for v in image:
-            uv = t[u][v]
-            if uv is None:
-                row.append(None)
-            else:
-                if uv not in back:
-                    raise RuntimeError("image not closed in the target")
-                row.append(back[uv])
-        table.append(tuple(row))
-    result = PartialMagma(tuple(m.target.elements[v] for v in image), tuple(table))
+    table = _restrict(m.target.table, image)
+    if not table:
+        raise RuntimeError("image not closed in the target")
+    result = PartialMagma(tuple(m.target.elements[v] for v in image), table)
     if not _Analysis(result).poloid:
         raise RuntimeError("image of a reflecting homomorphism must be a poloid")
     return result
@@ -136,20 +156,19 @@ def _profile(m: PartialMagma, x: int):
     return (row, col, t[x][x] == x, t[x][x] is None, lu, ru)
 
 
-def find_isomorphism(p: PartialMagma, q: PartialMagma, bound: int = 8) -> Morphism | None:
+def find_isomorphism(p: PartialMagma, q: PartialMagma) -> Morphism | None:
     """The least table isomorphism p -> q in lexicographic order, if any.
 
-    Backtracking over assignments in index order, pruning on unit
-    counts and per-element definedness profiles; the first complete
-    assignment found is the lexicographically minimal one.
+    Backtracking over assignments in index order, pruning on per-element
+    definedness profiles, whose unit flags also match the unit counts;
+    the first complete assignment found is the lexicographically minimal
+    one.  Carriers above ``ISO_SEARCH_BOUND`` elements are refused.
     """
     n = p.size
     if n != q.size:
         return None
-    if n > bound:
-        raise BoundExceeded(f"carriers of {n} elements exceed bound {bound}")
-    if len(units(p)) != len(units(q)):
-        return None
+    if n > ISO_SEARCH_BOUND:
+        raise BoundExceeded(f"carriers of {n} elements exceed bound {ISO_SEARCH_BOUND}")
     p_prof = [_profile(p, x) for x in range(n)]
     q_prof = [_profile(q, x) for x in range(n)]
     if sorted(p_prof) != sorted(q_prof):
@@ -197,38 +216,26 @@ def find_isomorphism(p: PartialMagma, q: PartialMagma, bound: int = 8) -> Morphi
 
     if not extend(0):
         return None
-    m = Morphism(p, q, tuple(assign))
     # the backtracker checks definedness and assigned values; re-verify fully
-    for x in range(n):
-        for y in range(n):
-            xy = s[x][y]
-            if (xy is None) != (t[assign[x]][assign[y]] is None):
-                raise RuntimeError("search returned a non-isomorphism")
-            if xy is not None and t[assign[x]][assign[y]] != assign[xy]:
-                raise RuntimeError("search returned a non-isomorphism")
-    return m
+    if not (_preserves(s, t, assign) and _reflects(s, t, assign)):
+        raise RuntimeError("search returned a non-isomorphism")
+    return Morphism(p, q, tuple(assign))
 
 
 def is_subpoloid(p: PartialMagma, subset):
     """Whether ``subset`` is closed, forms a poloid, and only uses global units."""
-    sub = sorted(set(subset))
-    if not sub:
+    inside = set(subset)
+    if not inside:
         raise ValueError("subset must be non-empty")
-    for x in sub:
-        if not 0 <= x < p.size:
-            raise ValueError(f"index {x} out of range")
-    inside = set(sub)
-    t = p.table
-    for x in sub:
-        for y in sub:
-            if t[x][y] is not None and t[x][y] not in inside:
-                return Witness("not-closed", (x, y))
-    if all(t[x][y] is None for x in sub for y in sub):
+    for x in inside:
+        if not _is_index(x, p.size):
+            raise ValueError(f"index {x!r} is not an element index")
+    sub = sorted(inside)
+    table = _restrict(p.table, sub)
+    if not table:
+        return table
+    if all(cell is None for row in table for cell in row):
         return Witness("empty-operation", tuple(sub))
-    back = {v: i for i, v in enumerate(sub)}
-    table = tuple(
-        tuple(back[t[x][y]] if t[x][y] is not None else None for y in sub) for x in sub
-    )
     restricted = _Analysis(PartialMagma(tuple(p.elements[x] for x in sub), table))
     poloid = restricted.poloid
     if not poloid:

@@ -15,7 +15,8 @@ translation map injective.
 
 Every constructor verifies the properties it is supposed to deliver,
 each once, and raises ``RuntimeError`` if any fails, so a successful
-return value is a checked certificate, not a promise.
+return value is a checked certificate, not a promise.  The structure
+map is checked by the same two scans as a morphism in :mod:`poloids.morphisms`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .maps import (
     is_transformation_poloid,
     serialize_map_magma,
 )
+from .morphisms import _preserves, _reflects
 from .tables import PartialMagma
 
 
@@ -71,16 +73,13 @@ def _codomain_upgrade(translations: list, eps) -> list:
     return [PartialFn(f, translations[e].domain) for f, e in zip(translations, eps)]
 
 
-def _check_structure_map(m: PartialMagma, image: MapMagma, assignment) -> None:
+def _check_structure_map(m: PartialMagma, image: MapMagma, assignment,
+                         changed="products not preserved", lost="definedness not reflected"):
     """Products defined in the table iff composites defined, with equal values."""
-    for x in range(m.size):
-        for y in range(m.size):
-            c = image.table[assignment[x]][assignment[y]]
-            xy = m.table[x][y]
-            if (xy is None) != (c is None):
-                raise RuntimeError("definedness not preserved and reflected")
-            if xy is not None and c != assignment[xy]:
-                raise RuntimeError("products not preserved")
+    if not _preserves(m.table, image.table, assignment):
+        raise RuntimeError(changed)
+    if not _reflects(m.table, image.table, assignment):
+        raise RuntimeError(lost)
 
 
 def left_translation_embedding(p: PartialMagma) -> Embedding:
@@ -111,9 +110,9 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
 
     The codomain of the upgrade of x's translation is the domain of the
     translation of x's effective left unit.  The upgrade is verified to
-    be bijective on members, to preserve and reflect composite
-    definedness, to preserve composites, and to send unit translations
-    to identity transformations.
+    be bijective on members, to preserve and reflect ``p``'s products,
+    as the translations do, and to send unit translations to identity
+    transformations.
     """
     report = classify(p)
     if not report.verdicts["poloid"]:
@@ -127,16 +126,9 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
     if len(set(upgraded)) != len(set(maps)):
         raise RuntimeError("codomain upgrade is not bijective")
     image = MapMagma(p.elements, tuple(upgraded), Mode.SUPSET, p.elements)
-    t = [translations.member_index(f) for f in maps]
-    u = [image.member_index(f) for f in upgraded]
-    for x in range(p.size):
-        for y in range(p.size):
-            before = translations.table[t[x]][t[y]]
-            after = image.table[u[x]][u[y]]
-            if (before is None) != (after is None):
-                raise RuntimeError("codomain upgrade changed composite definedness")
-            if before is not None and after != u[p.table[x][y]]:
-                raise RuntimeError("codomain upgrade changed a composite")
+    _check_structure_map(p, image, [image.member_index(f) for f in upgraded],
+                         "codomain upgrade changed a composite",
+                         "codomain upgrade changed composite definedness")
     for e in report.units:
         if not upgraded[e].is_identity():
             raise RuntimeError("unit translation did not become an identity transformation")

@@ -9,6 +9,9 @@ operand), or ``None``.
 
 All values are immutable after construction, so they can be shared
 freely between concurrent tasks; every function here is pure.
+
+:class:`PartialMagma` checks every rule on names and cells;
+:func:`parse_magma` checks the layout and reports those as ``ParseError``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ _TOKEN_FORBIDDEN = set(" \t\r\n\f\v:#")
 
 def _valid_token(tok: str) -> bool:
     return bool(tok) and tok != "-" and _TOKEN_FORBIDDEN.isdisjoint(tok)
+
+
+def _is_index(v, n: int) -> bool:
+    """Whether ``v`` indexes an n-element carrier: an int, not a bool, in range."""
+    return (type(v) is int or isinstance(v, int) and not isinstance(v, bool)) and 0 <= v < n
 
 
 def _content_lines(text: str) -> list[str]:
@@ -96,10 +104,8 @@ class PartialMagma:
             for cell in row:
                 if cell is None:
                     continue
-                # type() is the fast path; int subclasses other than bool pass too
-                if (
-                    type(cell) is not int and (not isinstance(cell, int) or isinstance(cell, bool))
-                ) or not 0 <= cell < n:
+                # the inline test is the fast path for plain ints in range
+                if (type(cell) is not int or not 0 <= cell < n) and not _is_index(cell, n):
                     raise ValueError(f"table entry {cell!r} is not an element index")
                 defined += 1
         if defined == 0:
@@ -216,13 +222,6 @@ def parse_magma(text: str) -> PartialMagma:
     if head.strip() != "elements" or not sep:
         raise ParseError("magma file must start with an 'elements:' line")
     names = rest.split()
-    if not names:
-        raise ParseError("no elements listed")
-    for name in names:
-        if not _valid_token(name):
-            raise ParseError(f"invalid element token {name!r}")
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate element name")
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
     body = lines[1:]
@@ -248,9 +247,10 @@ def parse_magma(text: str) -> PartialMagma:
             else:
                 raise ParseError(f"row {label!r}: unknown element token {tok!r}")
         table.append(tuple(row))
-    if all(cell is None for row in table for cell in row):
-        raise ParseError("all products undefined: the operation must be non-empty")
-    return PartialMagma(tuple(names), tuple(table))
+    try:
+        return PartialMagma(tuple(names), tuple(table))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def serialize_magma(m: PartialMagma) -> str:

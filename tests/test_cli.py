@@ -140,6 +140,39 @@ class TestClassify:
         assert captured.out == ""
 
 
+# Input rules that the constructors check on behalf of the parsers,
+# one file breaking each: each must still be a plain parse failure.
+_MAPS_HEAD = "set: 1 2\nmode: supset\n"
+_CONSTRUCTOR_RULES = {
+    "no-elements": "elements:\n",
+    "invalid-element-token": "elements: -\n-: -\n",
+    "duplicate-element": "elements: a a\na: a a\na: a a\n",
+    "all-undefined": "elements: a b\na: - -\nb: - -\n",
+    "empty-ground-set": "set:\nmode: supset\nmap f: 1->1\n",
+    "duplicate-ground-point": "set: 1 1\nmode: supset\nmap f: 1->1\n",
+    "no-maps": _MAPS_HEAD,
+    "pair-off-ground": _MAPS_HEAD + "map f: 1->3\n",
+    "pair-from-off-ground": _MAPS_HEAD + "map f: 3->1\n",
+    "repeated-point": _MAPS_HEAD + "map f: 1->1 1->2\n",
+    "empty-domain": _MAPS_HEAD + "map f:\n",
+    "duplicate-map-name": _MAPS_HEAD + "map f: 1->1\nmap f: 2->2\n",
+    "cod-point-off-ground": _MAPS_HEAD + "map f: 1->1\ncod f: 1 5\n",
+    "cod-point-off-ground-first": _MAPS_HEAD + "map f: 1->1\ncod f: 5 1\n",
+    "duplicate-cod-point": _MAPS_HEAD + "map f: 1->1\ncod f: 1 1\n",
+    "cod-misses-image": _MAPS_HEAD + "map f: 1->2\ncod f: 1\n",
+    "mixed-cod": _MAPS_HEAD + "map f: 1->1\ncod f: 1\nmap g: 2->2\n",
+}
+
+
+class TestConstructorRulesInFiles:
+    @pytest.mark.parametrize("text", list(_CONSTRUCTOR_RULES.values()), ids=list(_CONSTRUCTOR_RULES))
+    def test_exits_2_without_traceback(self, write, capsys, text):
+        assert main(["classify", write("bad.txt", text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestEmbed:
     def test_two_unit_groupoid(self, write, capsys):
         code = main(["embed", write("two.magma", TWO_UNIT)])

@@ -42,6 +42,13 @@ def identity_morphism(m):
     return Morphism(m, m, tuple(range(m.size)))
 
 
+class TestMorphismValues:
+    @pytest.mark.parametrize("mapping", [(0.0, 1.0), (0, True), (0, "1"), (0, 2), (0, -1)])
+    def test_mapping_holds_target_indices(self, mapping):
+        with pytest.raises(ValueError, match="not a target element index"):
+            Morphism(z2(), z2(), mapping)
+
+
 class TestHomomorphism:
     def test_identity_on_any_poloid(self, poloid_corpus):
         for m in poloid_corpus:
@@ -257,6 +264,15 @@ class TestSubpoloid:
         iso = magma("au", [["u", None], [None, None]])
         w = is_subpoloid(iso, [1])
         assert isinstance(w, Witness) and w.kind == "empty-operation"
+
+    @pytest.mark.parametrize("subset", [[0.0], [0, 1.0], [True], [2], [-1]])
+    def test_subset_holds_element_indices(self, subset):
+        with pytest.raises(ValueError, match="not an element index"):
+            is_subpoloid(z2(), subset)
+
+    def test_empty_subset(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            is_subpoloid(z2(), [])
 
     def test_local_unit_not_global_is_rejected(self):
         # {u} restricts to a poloid (uu = u), but u is not a unit of
