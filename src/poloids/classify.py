@@ -429,29 +429,20 @@ class ClassReport:
         }
 
     def to_text(self) -> str:
-        names = self.magma.elements
-        out = ["elements: " + " ".join(names)]
-        for verdict in VERDICT_NAMES:
-            out.append("%s: %s" % (verdict, "yes" if self.verdicts[verdict] else "no"))
-        for label, idxs in (
-            ("units", self.units),
-            ("left_units", self.left_units),
-            ("right_units", self.right_units),
-        ):
-            out.append("%s: %s" % (label, " ".join(names[i] for i in idxs)))
-        for label, values in (
-            ("eps", self.eps),
-            ("vareps", self.vareps),
-            ("phi", self.phi),
-            ("inverses", self.inverses),
-        ):
-            if values is not None:
-                pairs = " ".join(f"{names[i]}->{names[v]}" for i, v in enumerate(values))
-                out.append(f"{label}: {pairs}")
-        if self.witnesses:
-            out.append("witnesses:")
-            for verdict, w in self.witnesses:
-                out.append("  %s: %s" % (verdict, w.format(names)))
+        """The fields of :meth:`to_dict`, in its order, one line each."""
+        out = []
+        for key, value in self.to_dict().items():
+            if key == "verdicts":
+                out += ["%s: %s" % (v, "yes" if ok else "no") for v, ok in value.items()]
+            elif key == "witnesses":
+                if value:
+                    out.append("witnesses:")
+                out += ["  %s: %s %s" % (w["verdict"], w["kind"], ",".join(w["elements"]))
+                        for w in value]
+            elif isinstance(value, dict):
+                out.append(f"{key}: " + " ".join(f"{k}->{v}" for k, v in value.items()))
+            elif value is not None:
+                out.append(f"{key}: " + " ".join(value))
         return "\n".join(out) + "\n"
 
 

@@ -1,9 +1,12 @@
 """Partial self-maps on a finite ground set and magmas of them.
 
 Two kinds of member are supported: prefunctions (a domain and an
-assignment, no codomain) and partial functions (a prefunction plus an
-explicit codomain containing its image).  A :class:`MapMagma` is a
-finite set of members of one kind together with a composition regime
+assignment, no codomain) and partial functions, which are prefunctions
+that also have a codomain containing their image.  A map is stored like
+a row of a Cayley table: ``values[i]`` is the ground position of the
+image of ``ground[i]``, or ``None`` off the domain; the constructors,
+where points come in, turn them into positions.  A :class:`MapMagma` is
+a finite set of members of one kind together with a composition regime
 that decides when ``f.g`` is defined:
 
 ==============  ==========================================
@@ -13,11 +16,12 @@ that decides when ``f.g`` is defined:
 ``CODOMAIN``    dom(f) equals cod(g)  (functions only)
 ==============  ==========================================
 
-In every regime but OVERLAP the composite has the domain of g and maps
-x to f(g(x)); for functions its codomain is cod(f).  In OVERLAP the
-composite's domain is the g-preimage of dom(f).
+Every regime composes the same way, ``h[i] = f.values[g.values[i]]``,
+so the composite's domain is the g-preimage of dom(f); the regime only
+decides whether it is defined.  In every regime but OVERLAP that
+preimage is the domain of g.  For functions the codomain is cod(f).
 
-Members are kept in a canonical order (domain, then assignment, then
+Members are kept in a canonical order (domain, then values, then
 codomain, all compared via ground-set positions) so that rendering a
 map magma as a Cayley table is deterministic.
 
@@ -49,73 +53,70 @@ class Mode(enum.Enum):
     CODOMAIN = "codomain"
 
 
-def _as_pairs(ground: tuple, assignment) -> tuple[tuple, ...]:
-    if isinstance(assignment, Mapping):
-        items = assignment.items()
-    else:
-        items = tuple(assignment)
-    pos = {p: i for i, p in enumerate(ground)}
-    seen = set()
-    pairs = []
-    for p, q in items:
-        if p not in pos or q not in pos:
-            raise ValueError(f"assignment pair ({p!r}, {q!r}) leaves the ground set")
-        if p in seen:
-            raise ValueError(f"point {p!r} assigned twice")
-        seen.add(p)
-        pairs.append((p, q))
-    pairs.sort(key=lambda pq: pos[pq[0]])
-    return tuple(pairs)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prefunction:
-    """A non-empty partial self-map on ``ground``, without a codomain."""
+    """A non-empty partial self-map on ``ground``, without a codomain.
+
+    ``values[i]`` is the ground position of the image of ``ground[i]``,
+    or ``None`` off the domain: a row of a Cayley table.
+    """
 
     ground: tuple
-    assignment: tuple[tuple, ...]
+    values: tuple
 
-    def __post_init__(self):
-        ground = tuple(self.ground)
-        object.__setattr__(self, "ground", ground)
+    def __init__(self, ground, assignment):
+        """``assignment`` maps points to points, as a mapping or as pairs."""
+        ground = tuple(ground)
         if len(set(ground)) != len(ground) or not ground:
             raise ValueError("ground set must be non-empty and duplicate-free")
-        object.__setattr__(self, "assignment", _as_pairs(ground, self.assignment))
-        if not self.assignment:
+        pos = {p: i for i, p in enumerate(ground)}
+        values = [None] * len(ground)
+        for p, q in assignment.items() if isinstance(assignment, Mapping) else assignment:
+            if p not in pos or q not in pos:
+                raise ValueError(f"assignment pair ({p!r}, {q!r}) leaves the ground set")
+            if values[pos[p]] is not None:
+                raise ValueError(f"point {p!r} assigned twice")
+            values[pos[p]] = pos[q]
+        if values.count(None) == len(values):
             raise ValueError("a prefunction must have a non-empty domain")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "values", tuple(values))
 
     @_fact
     def domain(self) -> tuple:
-        return tuple(p for p, _ in self.assignment)
+        return tuple(p for p, v in zip(self.ground, self.values) if v is not None)
 
     @_fact
     def image(self) -> tuple:
-        pos = {p: i for i, p in enumerate(self.ground)}
-        return tuple(sorted({q for _, q in self.assignment}, key=pos.get))
+        return tuple(self.ground[v] for v in sorted(set(self.values) - {None}))
+
+    @_fact
+    def assignment(self) -> tuple[tuple, ...]:
+        return tuple((p, self.ground[v]) for p, v in zip(self.ground, self.values) if v is not None)
 
     def __call__(self, p):
-        for a, b in self.assignment:
-            if a == p:
-                return b
-        raise KeyError(f"{p!r} not in domain")
+        if p not in self.domain:
+            raise KeyError(f"{p!r} not in domain")
+        return self.ground[self.values[self.ground.index(p)]]
 
     def as_dict(self) -> dict:
         return dict(self.assignment)
 
     def is_identity(self) -> bool:
-        return all(p == q for p, q in self.assignment)
+        return all(v is None or v == i for i, v in enumerate(self.values))
 
 
-@dataclass(frozen=True)
-class PartialFn:
+@dataclass(frozen=True, init=False)
+class PartialFn(Prefunction):
     """A prefunction with an explicit codomain: im(f) <= cod(f) <= ground."""
 
-    pre: Prefunction
     codomain: tuple
 
-    def __post_init__(self):
-        pos = {p: i for i, p in enumerate(self.pre.ground)}
-        given = tuple(self.codomain)
+    def __init__(self, pre: Prefunction, codomain):
+        object.__setattr__(self, "ground", pre.ground)
+        object.__setattr__(self, "values", pre.values)
+        pos = {p: i for i, p in enumerate(self.ground)}
+        given = tuple(codomain)
         for p in given:
             if p not in pos:
                 raise ValueError(f"codomain point {p!r} not in the ground set")
@@ -123,31 +124,16 @@ class PartialFn:
         if len(cod) != len(given):
             raise ValueError("duplicate codomain point")
         object.__setattr__(self, "codomain", cod)
-        if not set(self.pre.image) <= set(cod):
+        if not set(self.image) <= set(cod):
             raise ValueError("codomain must contain the image")
 
     @property
-    def ground(self) -> tuple:
-        return self.pre.ground
-
-    @property
-    def domain(self) -> tuple:
-        return self.pre.domain
-
-    @property
-    def image(self) -> tuple:
-        return self.pre.image
-
-    @property
-    def assignment(self) -> tuple[tuple, ...]:
-        return self.pre.assignment
-
-    def __call__(self, p):
-        return self.pre(p)
+    def pre(self) -> Prefunction:
+        return Prefunction(self.ground, self.assignment)
 
     def is_identity(self) -> bool:
         """An identity transformation: dom = cod and every point fixed."""
-        return self.pre.is_identity() and self.codomain == self.domain
+        return super().is_identity() and self.codomain == self.domain
 
 
 def identity_pretransformation(ground, dom) -> Prefunction:
@@ -168,48 +154,39 @@ def compose_maps(f, g, mode: Mode = Mode.SUPSET):
     f_fn = isinstance(f, PartialFn)
     if f_fn != isinstance(g, PartialFn):
         raise ValueError("cannot compose a prefunction with a function")
-    dom_f = set(f.domain)
-    im_g = set(g.image)
-    dom = g.domain
-    if mode is Mode.SUPSET:
-        if not dom_f >= im_g:
-            return None
-    elif mode is Mode.OVERLAP:
-        if not dom_f & im_g:
-            return None
-        dom = tuple(p for p in dom if g(p) in dom_f)
+    h = tuple(None if v is None else f.values[v] for v in g.values)
+    if mode is Mode.SUPSET:  # h is None where g is, and elsewhere iff g leaves dom(f)
+        defined = h.count(None) == g.values.count(None)
+    elif mode is Mode.OVERLAP:  # h is already the restriction to the preimage
+        defined = h.count(None) < len(h)
     elif mode is Mode.EXACT_IMAGE:
-        if dom_f != im_g:
-            return None
+        defined = f.domain == g.image
     elif mode is Mode.CODOMAIN:
         if not f_fn:
             raise ValueError("codomain composition needs functions")
-        if dom_f != set(g.codomain):
-            return None
+        defined = f.domain == g.codomain
     else:  # pragma: no cover
         raise ValueError(mode)
-    pre = Prefunction(f.ground, {p: f(g(p)) for p in dom})
-    if f_fn:
-        return PartialFn(pre, f.codomain)
-    return pre
+    if not defined:
+        return None
+    ground = f.ground
+    pre = Prefunction(ground, [(p, ground[v]) for p, v in zip(ground, h) if v is not None])
+    return PartialFn(pre, f.codomain) if f_fn else pre
 
 
-def _member_key(m, pos: dict):
-    dom_mask = sum(1 << pos[p] for p in m.domain)
-    values = tuple(pos[q] for _, q in m.assignment)
-    cod_mask = sum(1 << pos[p] for p in m.codomain) if isinstance(m, PartialFn) else -1
-    return (dom_mask, values, cod_mask)
+def _member_key(m):
+    dom_mask = sum(1 << i for i, v in enumerate(m.values) if v is not None)
+    cod_mask = sum(1 << m.ground.index(p) for p in m.codomain) if isinstance(m, PartialFn) else -1
+    return (dom_mask, m.values, cod_mask)
 
 
 def default_map_name(m) -> str:
-    if isinstance(m, PartialFn):
-        if m.is_identity():
-            return "Id[%s]" % ",".join(str(p) for p in m.domain)
-        body = ",".join(f"{p}>{q}" for p, q in m.assignment)
-        return "[%s|cod=%s]" % (body, ",".join(str(p) for p in m.codomain))
     if m.is_identity():
         return "Id[%s]" % ",".join(str(p) for p in m.domain)
-    return "[%s]" % ",".join(f"{p}>{q}" for p, q in m.assignment)
+    body = ",".join(f"{p}>{q}" for p, q in m.assignment)
+    if isinstance(m, PartialFn):
+        return "[%s|cod=%s]" % (body, ",".join(str(p) for p in m.codomain))
+    return "[%s]" % body
 
 
 OUTSIDE = -1  # a MapMagma.table cell whose composite is not a member
@@ -245,8 +222,7 @@ class MapMagma:
             names = tuple(names)
             if len(names) != len(members) or len(set(names)) != len(names):
                 raise ValueError("names must be distinct and one per member")
-        pos = {p: i for i, p in enumerate(ground)}
-        order = sorted(range(len(members)), key=lambda i: _member_key(members[i], pos))
+        order = sorted(range(len(members)), key=lambda i: _member_key(members[i]))
         object.__setattr__(self, "members", tuple(members[i] for i in order))
         if names is not None:
             names = tuple(names[i] for i in order)
@@ -331,10 +307,9 @@ def is_transformation_semigroupoid(a: MapMagma):
     """Whether dom(f) containing im(g) always forces dom(f) = cod(g)."""
     if a.mode is not Mode.SUPSET or not isinstance(a.members[0], PartialFn):
         raise PreconditionError("expected a transformation magma (functions, supset mode)")
-    for i, f in enumerate(a.members):
-        dom_f = set(f.domain)
-        for j, g in enumerate(a.members):
-            if dom_f >= set(g.image) and f.domain != g.codomain:
+    for i, row in enumerate(a.table):  # a defined cell means dom(f) contains im(g)
+        for j, cell in enumerate(row):
+            if cell is not None and a.members[i].domain != a.members[j].codomain:
                 return Witness("dom-cod-mismatch", (i, j))
     return True
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,6 +145,93 @@ class TestCompose:
         b = MapMagma(X2, (identity_pretransformation(X2, (1,)),))
         with pytest.raises(KeyError):
             compose(b, b.members[0], identity_pretransformation(X2, X2))
+
+
+def _every_prefunction(points):
+    n = len(points)
+    for choice in iproduct(range(n + 1), repeat=n):
+        pairs = {p: points[c] for p, c in zip(points, choice) if c < n}
+        if pairs:
+            yield Prefunction(points, pairs)
+
+
+def _every_partial_fn(points):
+    for pre in _every_prefunction(points):
+        rest = [p for p in points if p not in pre.image]
+        for k in range(len(rest) + 1):
+            for extra in combinations(rest, k):
+                yield PartialFn(pre, pre.image + extra)
+
+
+def _expected_composite(f, g, mode):
+    """f.g by the module docstring's mode table, worked out on dicts and sets."""
+    fd, gd = dict(f.assignment), dict(g.assignment)
+    dom_f, im_g = set(fd), set(gd.values())
+    if mode is Mode.SUPSET:
+        defined = dom_f >= im_g
+    elif mode is Mode.OVERLAP:
+        defined = bool(dom_f & im_g)
+    elif mode is Mode.EXACT_IMAGE:
+        defined = dom_f == im_g
+    else:
+        defined = dom_f == set(g.codomain)
+    if not defined:
+        return None
+    pre = Prefunction(f.ground, {p: fd[q] for p, q in gd.items() if q in dom_f})
+    return PartialFn(pre, f.codomain) if isinstance(f, PartialFn) else pre
+
+
+class TestComposeOracle:
+    @pytest.mark.parametrize("maps, modes, cases", [
+        (tuple(_every_prefunction(X3)), (Mode.SUPSET, Mode.OVERLAP, Mode.EXACT_IMAGE), 63 * 63 * 3),
+        (tuple(_every_partial_fn(X2)), tuple(Mode), 14 * 14 * 4),
+    ], ids=["prefunctions-on-3", "partial-functions-on-2"])
+    def test_every_pair_in_every_mode(self, maps, modes, cases):
+        seen = 0
+        for f, g in iproduct(maps, repeat=2):
+            for mode in modes:
+                assert compose_maps(f, g, mode) == _expected_composite(f, g, mode), (f, g, mode)
+                seen += 1
+        assert seen == cases
+
+
+class TestEncoding:
+    def test_values_are_ground_positions(self):
+        f = Prefunction(X3, {1: 3, 3: 3})
+        assert f.values == (2, None, 2)
+        assert f.assignment == ((1, 3), (3, 3))
+
+    def test_mapping_and_pairs_in_any_order_agree(self):
+        pairs = ((1, 2), (2, 3), (3, 1))
+        f = Prefunction(X3, dict(pairs))
+        for order in permutations(pairs):
+            g = Prefunction(X3, order)
+            assert g == f and hash(g) == hash(f)
+            assert Prefunction(X3, dict(order)) == f
+
+    def test_partial_function_is_not_its_prefunction(self):
+        pre = Prefunction(X2, {1: 2})
+        fn = PartialFn(pre, X2)
+        assert fn != pre and pre != fn
+        assert fn.pre == pre
+        assert fn.as_dict() == {1: 2}
+
+    def test_call_off_the_domain_or_ground(self):
+        f = Prefunction(X3, {1: 2, 3: 3})
+        assert f(1) == 2 and f(3) == 3
+        for p in (2, 7):
+            with pytest.raises(KeyError):
+                f(p)
+        with pytest.raises(KeyError):
+            PartialFn(f, X3)(2)
+
+    def test_full_transformation_member_names(self):
+        assert full_transformation_magma(X2).member_names() == (
+            "Id[1]", "[1>1|cod=1,2]", "[1>2|cod=2]", "[1>2|cod=1,2]", "[2>1|cod=1]",
+            "[2>1|cod=1,2]", "Id[2]", "[2>2|cod=1,2]", "[1>1,2>1|cod=1]",
+            "[1>1,2>1|cod=1,2]", "Id[1,2]", "[1>2,2>1|cod=1,2]", "[1>2,2>2|cod=2]",
+            "[1>2,2>2|cod=1,2]",
+        )
 
 
 class TestAssociativityLaws:
