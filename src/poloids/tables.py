@@ -10,13 +10,17 @@ operand), or ``None``.
 All values are immutable after construction, so they can be shared
 freely between concurrent tasks; every function here is pure.
 
-:class:`PartialMagma` checks every rule on names and cells;
-:func:`parse_magma` checks the layout and reports those as ``ParseError``.
+:class:`PartialMagma` checks every rule on names and cells: every row
+and cell of every table it is given, and each distinct carrier once (the
+last 256 carriers that passed are remembered; one that failed is checked
+again every time).  :func:`parse_magma` checks the layout and reports
+those as ``ParseError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ParseError
@@ -27,6 +31,23 @@ _TOKEN_FORBIDDEN = set(" \t\r\n\f\v:#")
 
 def _valid_token(tok: str) -> bool:
     return bool(tok) and tok != "-" and _TOKEN_FORBIDDEN.isdisjoint(tok)
+
+
+@lru_cache(maxsize=256)
+def _check_carrier(elements: tuple) -> None:
+    """Raise ``ValueError`` unless the carrier is non-empty, with distinct
+    names that are valid tokens.
+
+    A carrier that passed is not checked again; one that failed raised,
+    and a raise is never cached, so it fails again on every construction.
+    """
+    if not elements:
+        raise ValueError("carrier must be non-empty")
+    if len(set(elements)) != len(elements):
+        raise ValueError("duplicate element names")
+    for name in elements:
+        if not isinstance(name, str) or not _valid_token(name):
+            raise ValueError(f"invalid element name {name!r}")
 
 
 def _is_index(v, n: int) -> bool:
@@ -66,7 +87,8 @@ class Witness:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        if type(self.elements) is not tuple:
+            object.__setattr__(self, "elements", tuple(self.elements))
 
     def __bool__(self) -> bool:
         return False
@@ -83,18 +105,15 @@ class PartialMagma:
     table: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        elements = tuple(self.elements)
-        table = tuple(tuple(row) for row in self.table)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "table", table)
+        elements, table = self.elements, self.table
+        if type(elements) is not tuple:
+            elements = tuple(elements)
+            object.__setattr__(self, "elements", elements)
+        if type(table) is not tuple or not all(type(row) is tuple for row in table):
+            table = tuple(map(tuple, table))
+            object.__setattr__(self, "table", table)
+        _check_carrier(elements)
         n = len(elements)
-        if n == 0:
-            raise ValueError("carrier must be non-empty")
-        if len(set(elements)) != n:
-            raise ValueError("duplicate element names")
-        for name in elements:
-            if not isinstance(name, str) or not _valid_token(name):
-                raise ValueError(f"invalid element name {name!r}")
         if len(table) != n:
             raise ValueError(f"expected {n} table rows, got {len(table)}")
         defined = 0

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -46,6 +46,22 @@ from conftest import (
 )
 
 
+def replays_associativity(t, x, y, z, one_sided=False):
+    """Whether the triple (x, y, z) is triggered and broken in table t.
+
+    The two-sided trigger is xy and yz defined, or (xy)z defined, or
+    x(yz) defined; the one-sided trigger leaves out x(yz) alone.
+    """
+    xy, yz = t[x][y], t[y][z]
+    xy_z = None if xy is None else t[xy][z]
+    x_yz = None if yz is None else t[x][yz]
+    trigger = xy is not None and (yz is not None or xy_z is not None)
+    if not one_sided:
+        trigger = trigger or x_yz is not None
+    broken = xy is None or yz is None or xy_z is None or x_yz is None or xy_z != x_yz
+    return trigger and broken
+
+
 class TestSemigroupoid:
     def test_right_zero_band_is_one(self):
         # total and associative: the scan over all eight triples passes
@@ -60,19 +76,7 @@ class TestSemigroupoid:
         m = magma("ab", [[None, "a"], ["b", None]])
         w = is_semigroupoid(m)
         assert isinstance(w, Witness) and w.kind == "associativity"
-        x, y, z = w.elements
-        t = m.table
-        trigger = (
-            (t[x][y] is not None and t[y][z] is not None)
-            or (t[x][y] is not None and t[t[x][y]][z] is not None)
-            or (t[y][z] is not None and t[x][t[y][z]] is not None)
-        )
-        assert trigger  # replay: the triple really is triggered and broken
-        assert (
-            t[x][y] is None or t[y][z] is None
-            or t[t[x][y]][z] is None or t[x][t[y][z]] is None
-            or t[t[x][y]][z] != t[x][t[y][z]]
-        )
+        assert replays_associativity(m.table, *w.elements)
 
     def test_witness_is_first_in_scan_order(self):
         m = magma("ab", [[None, "a"], ["b", None]])
@@ -395,6 +399,36 @@ class TestDuality:
         assert len(poloids) == 973
         for m in poloids:
             self.assert_dual(m)
+
+
+class TestRelabelledTripleLaws:
+    # the triple-law verdicts the census reads hold on T exactly when they
+    # hold on every relabelling pi(T), and a failing triple (x, y, z) of T
+    # fails in pi(T) as (pi x, pi y, pi z)
+    CHECKERS = ((is_semigroupoid, False), (is_right_directed_semigroupoid, True))
+
+    def assert_invariant(self, m):
+        for perm in permutations(range(m.size)):
+            image = relabel(m, perm)
+            for check, one_sided in self.CHECKERS:
+                w = check(m)
+                assert bool(check(image)) == bool(w), (m.table, perm, check.__name__)
+                if not w:
+                    assert w.kind == "associativity"
+                    x, y, z = (perm[i] for i in w.elements)
+                    assert replays_associativity(image.table, x, y, z, one_sided), (
+                        m.table, perm, check.__name__, w.elements,
+                    )
+
+    def test_every_table_up_to_two_elements(self):
+        for n in (1, 2):
+            for m in all_magmas(n):
+                self.assert_invariant(m)
+
+    def test_every_97th_table_on_three_elements(self):
+        for i, m in enumerate(all_magmas(3)):
+            if i % 97 == 0:
+                self.assert_invariant(m)
 
 
 class TestClassifyReport:

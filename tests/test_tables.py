@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +37,29 @@ def magmas(draw, max_n=4):
     return PartialMagma(names, table)
 
 
+# tables PartialMagma rejects, as (names, table, message)
+REJECTIONS = [
+    (("a", "b"), ((0, True), (1, 0)), "table entry True is not an element index"),
+    (("a", "b"), ((0, 1.0), (1, 0)), "table entry 1.0 is not an element index"),
+    (("a", "b"), ((0, 2), (1, 0)), "table entry 2 is not an element index"),
+    (("a", "b"), ((0, -1), (1, 0)), "table entry -1 is not an element index"),
+    (("x:y",), ((0,),), "invalid element name 'x:y'"),
+    (("a#b",), ((0,),), "invalid element name 'a#b'"),
+    (("a b",), ((0,),), "invalid element name 'a b'"),
+    (("a\tb",), ((0,),), "invalid element name 'a\\tb'"),
+    (("-",), ((0,),), "invalid element name '-'"),
+    (("a", "b"), ((0, 1), (1,)), "expected 2 entries per row, got 1"),
+    (("a", "b"), ((None, None), (None, None)),
+     "the operation must be defined on at least one pair"),
+]
+
+
+def assert_rejected(names, table, message):
+    with pytest.raises(ValueError) as exc:
+        PartialMagma(names, table)
+    assert str(exc.value) == message
+
+
 class TestConstruction:
     def test_rejects_empty_carrier(self):
         with pytest.raises(ValueError):
@@ -60,27 +86,73 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PartialMagma(("a", "b"), ((0,), (1, 0)))
 
-    @pytest.mark.parametrize(
-        "names, table, message",
-        [
-            (("a", "b"), ((0, True), (1, 0)), "table entry True is not an element index"),
-            (("a", "b"), ((0, 1.0), (1, 0)), "table entry 1.0 is not an element index"),
-            (("a", "b"), ((0, 2), (1, 0)), "table entry 2 is not an element index"),
-            (("a", "b"), ((0, -1), (1, 0)), "table entry -1 is not an element index"),
-            (("x:y",), ((0,),), "invalid element name 'x:y'"),
-            (("a#b",), ((0,),), "invalid element name 'a#b'"),
-            (("a b",), ((0,),), "invalid element name 'a b'"),
-            (("a\tb",), ((0,),), "invalid element name 'a\\tb'"),
-            (("-",), ((0,),), "invalid element name '-'"),
-            (("a", "b"), ((0, 1), (1,)), "expected 2 entries per row, got 1"),
-            (("a", "b"), ((None, None), (None, None)),
-             "the operation must be defined on at least one pair"),
-        ],
-    )
+    @pytest.mark.parametrize("names, table, message", REJECTIONS)
     def test_rejection_messages(self, names, table, message):
-        with pytest.raises(ValueError) as exc:
-            PartialMagma(names, table)
-        assert str(exc.value) == message
+        assert_rejected(names, table, message)
+
+
+class TestCarrierCheckedOnce:
+    # each carrier's names are checked on its first construction only;
+    # none of this may let through a table the constructor rejects
+    BAD_CARRIERS = [
+        ((), (), "carrier must be non-empty"),
+        (("a", "a"), ((0, 1), (1, 0)), "duplicate element names"),
+        (("a", "b c"), ((0, 1), (1, 0)), "invalid element name 'b c'"),
+        (("a", 1), ((0, 1), (1, 0)), "invalid element name 1"),
+    ]
+
+    def test_a_valid_carrier_still_has_every_table_checked(self):
+        PartialMagma(("a", "b"), ((0, 1), (1, 0)))
+        for case in REJECTIONS:
+            assert_rejected(*case)
+        assert_rejected(("a", "b"), ((0, 1),), "expected 2 table rows, got 1")
+
+    def test_a_rejected_carrier_is_rejected_again(self):
+        for names, table, message in self.BAD_CARRIERS:
+            for carrier in (names, names, list(names)):
+                assert_rejected(carrier, table, message)
+
+    def test_nested_lists_are_stored_as_tuples(self):
+        m = PartialMagma(["a", "b"], [[0, None], [1, 0]])
+        assert type(m.elements) is tuple and type(m.table) is tuple
+        assert all(type(row) is tuple for row in m.table)
+        assert m == PartialMagma(("a", "b"), ((0, None), (1, 0)))
+
+    def test_bad_carriers_are_rejected_after_many_valid_ones(self):
+        for i in range(300):
+            PartialMagma((f"v{i}",), ((0,),))
+        for case in self.BAD_CARRIERS + REJECTIONS:
+            assert_rejected(*case)
+
+    def test_concurrent_constructions_keep_every_verdict(self):
+        # more threads than cores, switching often, over more carriers than
+        # the cache holds: a good carrier always passes, a bad one never does
+        def build(k):
+            for i in range(400):
+                PartialMagma((f"t{k}x{i % 300}",), ((0,),))
+                for names, table, message in self.BAD_CARRIERS:
+                    try:
+                        PartialMagma(names, table)
+                    except ValueError as exc:
+                        if str(exc) != message:
+                            failures.append((names, str(exc)))
+                    else:
+                        failures.append((names, "accepted"))
+            finished.append(k)
+
+        failures, finished = [], []
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == [0, 1, 2, 3] and failures == []
 
 
 class TestParse:
