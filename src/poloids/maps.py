@@ -352,6 +352,18 @@ def as_partial_magma(a: MapMagma) -> PartialMagma:
     return PartialMagma(a.member_names(), a.table)
 
 
+def _split_pair(name: str, tok: str, points) -> tuple:
+    """``p->q`` cut at the one ``->`` with a point on each side, else at the first."""
+    parts = tok.split("->")
+    if len(parts) == 2:  # one arrow, so one cut
+        return parts[0], parts[1]
+    cuts = [("->".join(parts[:k]), "->".join(parts[k:])) for k in range(1, len(parts))]
+    fits = [(p, q) for p, q in cuts if p in points and q in points]
+    if not cuts or len(fits) > 1:
+        raise ParseError(f"map {name!r}: {'ambiguous' if cuts else 'bad'} pair {tok!r}")
+    return (fits or cuts)[0]
+
+
 def parse_map_magma(text: str) -> MapMagma:
     """Parse the line-oriented map-magma file format.
 
@@ -393,13 +405,7 @@ def parse_map_magma(text: str) -> MapMagma:
         if not _valid_token(name):
             raise ParseError(f"invalid map name {name!r}")
         if kind == "map":
-            pairs = []
-            for tok in rest.split():
-                p, arrow, q = tok.partition("->")
-                if not arrow:
-                    raise ParseError(f"map {name!r}: bad pair {tok!r}")
-                pairs.append((p, q))
-            entries.append([name, pairs, None])
+            entries.append([name, [_split_pair(name, tok, points) for tok in rest.split()], None])
         else:
             if not entries or entries[-1][0] != name:
                 raise ParseError(f"cod line for {name!r} must follow its map line")
@@ -409,7 +415,9 @@ def parse_map_magma(text: str) -> MapMagma:
 
     names = tuple(name for name, _, _ in entries)
     for line in iso[1:]:
-        element, arrow, member = (part.strip() for part in line.partition("->"))
+        words = line.split()  # names hold no whitespace, but may hold "->"
+        element, arrow, member = words if len(words) == 3 and words[1] == "->" else (
+            part.strip() for part in line.partition("->"))
         if not arrow or not _valid_token(element) or not _valid_token(member):
             raise ParseError(f"expected '<element> -> <map>' in the iso block, got {line!r}")
         if member not in names:

@@ -1,13 +1,13 @@
 """Representation of poloids and right poloids by partial self-maps.
 
-The construction is in two steps.  First each element x becomes the
-left-translation prefunction t -> xt on the carrier; for a poloid this
-is already a faithful copy, and for a right poloid it is a (possibly
-non-injective) quotient.  Second, for poloids, each translation is
-upgraded to a partial function whose codomain is the domain of the
-translation of x's effective left unit; the upgraded image composes
-exactly when the original products were defined, which yields the
-Cayley-style embedding into a transformation poloid.
+One pipeline in two steps.  First each element x becomes the left
+translation t -> xt on the carrier; for a poloid this is a faithful
+copy, for a right poloid a (possibly non-injective) quotient.  Second,
+for poloids, each translation gets as codomain the domain of the
+translation of x's effective left unit, so that the image composes
+exactly when the original products were defined: that checked upgrade
+is :func:`attach_codomains`, and with the transformation-poloid check
+of its image, the Cayley-style :func:`cayley_embedding`.
 
 Normal right poloids skip the upgrade and embed directly into a domain
 pretransformation magma: normality is precisely what makes the
@@ -15,8 +15,9 @@ translation map injective.
 
 Every constructor verifies the properties it is supposed to deliver,
 each once, and raises ``RuntimeError`` if any fails, so a successful
-return value is a checked certificate, not a promise.  The structure
-map is checked by the same two scans as a morphism in :mod:`poloids.morphisms`.
+return value is a checked certificate, not a promise.  One helper builds
+each image and checks its structure map, by the same two scans as a
+morphism in :mod:`poloids.morphisms`.
 """
 
 from __future__ import annotations
@@ -73,13 +74,43 @@ def _codomain_upgrade(translations: list, eps) -> list:
     return [PartialFn(f, translations[e].domain) for f, e in zip(translations, eps)]
 
 
-def _check_structure_map(m: PartialMagma, image: MapMagma, assignment,
-                         changed="products not preserved", lost="definedness not reflected"):
-    """Products defined in the table iff composites defined, with equal values."""
-    if not _preserves(m.table, image.table, assignment):
+def _classified(p: PartialMagma, *wanted):
+    """``classify(p)``, or ``PreconditionError`` at the first (verdict,
+    message) pair it fails; ``{}`` in a message stands for the witness."""
+    report = classify(p)
+    for verdict, message in wanted:
+        if not report.verdicts[verdict]:
+            witness = report.witness_for(verdict)
+            raise PreconditionError(message.format(witness.format(p.elements)), witness)
+    return report
+
+
+def _checked_image(p: PartialMagma, maps: list, injective: bool,
+                   changed="products not preserved", lost="definedness not reflected"):
+    """The image of x -> maps[x], named by the elements if injective, and its
+    assignment, checked to be injective if asked and to preserve and reflect."""
+    members = tuple(dict.fromkeys(maps))
+    one_to_one = len(members) == p.size
+    if injective and not one_to_one:
+        raise RuntimeError("embedding not injective")
+    image = MapMagma(p.elements, members, Mode.SUPSET, p.elements if one_to_one else None)
+    assignment = tuple(image.member_index(f) for f in maps)
+    if not _preserves(p.table, image.table, assignment):
         raise RuntimeError(changed)
-    if not _reflects(m.table, image.table, assignment):
+    if not _reflects(p.table, image.table, assignment):
         raise RuntimeError(lost)
+    return image, assignment
+
+
+def _upgraded(p: PartialMagma, report, maps: list, **messages):
+    """The checked image of a poloid's upgraded translations, whose units
+    must become identity transformations."""
+    upgraded = _codomain_upgrade(maps, report.eps)
+    image, assignment = _checked_image(p, upgraded, injective=True, **messages)
+    for e in report.units:
+        if not upgraded[e].is_identity():
+            raise RuntimeError("unit translation did not become an identity transformation")
+    return image, assignment
 
 
 def left_translation_embedding(p: PartialMagma) -> Embedding:
@@ -90,16 +121,8 @@ def left_translation_embedding(p: PartialMagma) -> Embedding:
     elements with equal translations; it is injective exactly on the
     normal right poloids, in particular on every poloid.
     """
-    report = classify(p)
-    if not report.verdicts["right_poloid"]:
-        raise PreconditionError("not a right poloid", report.witness_for("right_poloid"))
-    maps = _translations(p)
-    members = sorted(set(maps), key=maps.index)
-    injective = len(members) == p.size
-    names = p.elements if injective else None
-    image = MapMagma(p.elements, tuple(members), Mode.SUPSET, names)
-    assignment = tuple(image.member_index(f) for f in maps)
-    _check_structure_map(p, image, assignment)
+    _classified(p, ("right_poloid", "not a right poloid"))
+    image, assignment = _checked_image(p, _translations(p), injective=False)
     if not is_closed(image):
         raise RuntimeError("translation image not closed")
     return Embedding(p, image, assignment)
@@ -110,52 +133,27 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
 
     The codomain of the upgrade of x's translation is the domain of the
     translation of x's effective left unit.  The upgrade is verified to
-    be bijective on members, to preserve and reflect ``p``'s products,
-    as the translations do, and to send unit translations to identity
+    be injective, to preserve and reflect ``p``'s products, as the
+    translations do, and to send unit translations to identity
     transformations.
     """
-    report = classify(p)
-    if not report.verdicts["poloid"]:
-        raise PreconditionError("not a poloid", report.witness_for("poloid"))
+    report = _classified(p, ("poloid", "not a poloid"))
     maps = _translations(p)
     if set(maps) != set(translations.members) or translations.mode is not Mode.SUPSET:
         raise PreconditionError("map magma is not this poloid's translation image")
-    if len(set(maps)) != p.size:
-        raise RuntimeError("translation map not injective on a poloid")
-    upgraded = _codomain_upgrade(maps, report.eps)
-    if len(set(upgraded)) != len(set(maps)):
-        raise RuntimeError("codomain upgrade is not bijective")
-    image = MapMagma(p.elements, tuple(upgraded), Mode.SUPSET, p.elements)
-    _check_structure_map(p, image, [image.member_index(f) for f in upgraded],
-                         "codomain upgrade changed a composite",
-                         "codomain upgrade changed composite definedness")
-    for e in report.units:
-        if not upgraded[e].is_identity():
-            raise RuntimeError("unit translation did not become an identity transformation")
-    return image
+    return _upgraded(p, report, maps, changed="codomain upgrade changed a composite",
+                     lost="codomain upgrade changed composite definedness")[0]
 
 
 def cayley_embedding(p: PartialMagma) -> Embedding:
     """A poloid as a transformation poloid on its own carrier.
 
-    Applies the codomain upgrade to the translations, then verifies the
-    advertised package once: injectivity, preservation and reflection of
-    definedness and products, units landing on identity transformations,
-    and the image passing the transformation semigroupoid and
-    transformation poloid checks.
+    The checked codomain upgrade of the translations, as in
+    :func:`attach_codomains`, whose image is then verified to pass the
+    transformation semigroupoid and transformation poloid checks.
     """
-    report = classify(p)
-    if not report.verdicts["poloid"]:
-        raise PreconditionError("not a poloid", report.witness_for("poloid"))
-    maps = _codomain_upgrade(_translations(p), report.eps)
-    if len(set(maps)) != p.size:
-        raise RuntimeError("embedding not injective")
-    image = MapMagma(p.elements, tuple(maps), Mode.SUPSET, p.elements)
-    assignment = tuple(image.member_index(f) for f in maps)
-    _check_structure_map(p, image, assignment)
-    for e in report.units:
-        if not maps[e].is_identity():
-            raise RuntimeError("unit not sent to an identity transformation")
+    report = _classified(p, ("poloid", "not a poloid"))
+    image, assignment = _upgraded(p, report, _translations(p))
     try:  # also runs the closure and transformation-semigroupoid checks
         poloid = is_transformation_poloid(image)
     except PreconditionError as exc:
@@ -175,28 +173,15 @@ def embed_right_poloid(p: PartialMagma) -> Embedding:
     normality witness on a non-normal input, where no injective
     translation map exists.
     """
-    report = classify(p)
-    if not report.verdicts["right_poloid"]:
-        raise PreconditionError("not a right poloid", report.witness_for("right_poloid"))
-    if not report.verdicts["normal"]:
-        raise PreconditionError(
-            "not a normal right poloid (%s)"
-            % report.witness_for("normal").format(p.elements),
-            report.witness_for("normal"),
-        )
+    report = _classified(p, ("right_poloid", "not a right poloid"),
+                         ("normal", "not a normal right poloid ({})"))
     maps = _translations(p)
-    if len(set(maps)) != p.size:
-        raise RuntimeError("translation map not injective on a normal right poloid")
-    phi = report.phi
-    for x in range(p.size):
-        wanted = identity_pretransformation(p.elements, maps[x].domain)
-        if maps[phi[x]] != wanted:
+    for f, phi_x in zip(maps, report.phi):
+        if maps[phi_x] != identity_pretransformation(p.elements, f.domain):
             raise RuntimeError("translation of phi_x is not Id on dom of x's translation")
-    image = MapMagma(p.elements, tuple(maps), Mode.SUPSET, p.elements)
+    image, assignment = _checked_image(p, maps, injective=True)
     if not is_domain_pretransformation_magma(image):
         raise RuntimeError("image is not a domain pretransformation magma")
-    assignment = tuple(image.member_index(f) for f in maps)
-    _check_structure_map(p, image, assignment)
     return Embedding(p, image, assignment)
 
 

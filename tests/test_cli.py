@@ -13,6 +13,7 @@ from poloids.cli import main
 RIGHT_ZERO = "elements: x y\nx: x y\ny: x y\n"
 Z2 = "elements: e g\ne: e g\ng: g e\n"
 TWO_UNIT = "elements: e1 e2\ne1: e1 -\ne2: - e2\n"
+ARROW_NAMES = "elements: a->b c\na->b: a->b -\nc: - c\n"
 OVERLAPPING_IDS = (
     "set: 1 2 3\n"
     "mode: supset\n"
@@ -211,6 +212,22 @@ class TestEmbed:
         assert "group: yes" in capsys.readouterr().out
         assert main(["compose", out_file, "g", "g"]) == 0
         assert capsys.readouterr().out == "Id[e,g]\n"
+
+    @pytest.mark.parametrize("pre", [[], ["--pre"]])
+    def test_arrows_in_element_names_read_back(self, write, tmp_path, capsys, pre):
+        out_file = str(tmp_path / "arrows.maps")
+        assert main(["embed", write("arrows.magma", ARROW_NAMES), "-o", out_file] + pre) == 0
+        assert main(["classify", out_file]) == 0
+        assert "poloid: yes" in capsys.readouterr().out.splitlines()
+        assert main(["compose", out_file, "a->b", "a->b"]) == 0
+        assert main(["compose", out_file, "a->b", "c"]) == 0
+        assert capsys.readouterr().out == "Id[a->b]\nundefined\n"
+
+    def test_ambiguous_pair_is_bad_input(self, write, capsys):
+        path = write("ambiguous.maps", "set: a b->c a->b c\nmode: supset\nmap f: a->b->c\n")
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert "ambiguous pair 'a->b->c'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["e => e", "e ->", "e -> h", "iso:"])
     def test_bad_iso_line(self, write, tmp_path, capsys, line):

@@ -526,3 +526,37 @@ class TestMapMagmaFiles:
     def test_duplicate_member_rejected(self):
         with pytest.raises(ParseError):
             parse_map_magma("set: 1\nmode: supset\nmap f: 1->1\nmap g: 1->1\n")
+
+
+class TestArrowsInPoints:
+    # a point may contain "->": a pair splits at the one arrow that leaves
+    # a point on both sides
+
+    def test_pair_splits_where_both_sides_are_points(self):
+        a = parse_map_magma("set: a->b c\nmode: supset\nmap f: a->b->a->b c->c\n")
+        assert a.members[0].as_dict() == {"a->b": "a->b", "c": "c"}
+
+    @pytest.mark.parametrize("points", [("a->b", "c"), ("a", "b->c", "c->"), ("->", "a")])
+    def test_every_prefunction_round_trips(self, points):
+        for f in _every_prefunction(points):
+            a = MapMagma(points, (f,))
+            assert parse_map_magma(serialize_map_magma(a)).members == (f,)
+
+    def test_ambiguous_pair_is_named(self):
+        with pytest.raises(ParseError, match=r"map 'f': ambiguous pair 'a->b->c'"):
+            parse_map_magma("set: a b->c a->b c\nmode: supset\nmap f: a->b->c\n")
+
+    def test_pair_without_a_fitting_split_reports_the_first(self):
+        # as before: the pair is cut at its first arrow and the constructor names it
+        with pytest.raises(ParseError, match=r"\('a', 'b->c'\) leaves the ground set"):
+            parse_map_magma("set: a c\nmode: supset\nmap f: a->b->c\n")
+
+    @pytest.mark.parametrize("line", ["a->b -> f", "a->b  ->  f", "a->b\t->\tf"])
+    def test_iso_line_splits_at_whitespace(self, line):
+        text = "set: a->b\nmode: supset\nmap f: a->b->a->b\niso:\n" + line + "\n"
+        assert parse_map_magma(text).member_names() == ("f",)
+
+    @pytest.mark.parametrize("line", ["x->f", "x ->f", "x-> f", "x -> f"])
+    def test_iso_lines_without_arrows_in_names_read_as_before(self, line):
+        text = "set: x\nmode: supset\nmap f: x->x\niso:\n" + line + "\n"
+        assert parse_map_magma(text).member_names() == ("f",)

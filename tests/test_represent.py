@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from poloids import (
+    MapMagma,
     PartialFn,
     PreconditionError,
     as_partial_magma,
@@ -13,13 +16,18 @@ from poloids import (
     effective_unit_maps,
     embed_right_poloid,
     find_isomorphism,
+    full_pretransformation_magma,
+    full_transformation_magma,
     identity_pretransformation,
     identity_transformation,
     is_domain_pretransformation_magma,
     is_transformation_poloid,
     is_transformation_semigroupoid,
     left_translation_embedding,
+    parse_magma,
+    parse_map_magma,
     serialize_embedding,
+    serialize_map_magma,
 )
 from poloids import maps, represent
 from poloids.cli import main
@@ -225,6 +233,83 @@ class TestRoundTrip:
             assert find_isomorphism(m, as_partial_magma(embed(m).image)) is not None
 
 
+class TestOnePipeline:
+    # attach_codomains on the translation image and cayley_embedding run
+    # the same checked codomain upgrade
+
+    @pytest.mark.parametrize("n, classes", [(4, 55), (5, 329)])
+    def test_upgrade_of_translations_is_the_cayley_image(self, n, classes):
+        found = list(filtered(n, "poloid", up_to_iso=True))
+        assert len(found) == classes
+        for p in found:
+            assert attach_codomains(p, left_translation_embedding(p).image) \
+                == cayley_embedding(p).image
+
+
+def _closure(generators, identities):
+    """The least set of maps holding ``generators`` that is closed under
+    composition and holds ``identities(f)`` for each member f."""
+    members = set(generators)
+    while True:
+        found = set()
+        for f in members:
+            found.update(identities(f))
+            for g in members:
+                h = compose_maps(f, g)
+                if h is not None:
+                    found.add(h)
+        if found <= members:
+            return frozenset(members)
+        members |= found
+
+
+class TestConverseRepresentation:
+    # the converse theorems: closed map magmas holding the right identities
+    # are normal right poloids (for prefunctions) and poloids (for
+    # transformation poloids), and embedding them gives them back
+
+    def test_domain_pretransformation_closures_are_normal_right_poloids(self):
+        points = (1, 2, 3)
+        pres = full_pretransformation_magma(points).members
+        assert len(pres) == 63
+        closures = {
+            _closure(pair, lambda f: (identity_pretransformation(points, f.domain),))
+            for pair in combinations_with_replacement(pres, 2)
+        }
+        assert len(closures) == 1445
+        assert max(map(len, closures)) == 24
+        for members in closures:
+            image = MapMagma(points, tuple(members))
+            assert is_domain_pretransformation_magma(image) is True
+            m = as_partial_magma(image)
+            verdicts = classify(m).verdicts
+            assert verdicts["right_poloid"] and verdicts["normal"] and verdicts["unit_posetal"]
+            e = embed_right_poloid(m)
+            if m.size <= 8:
+                assert find_isomorphism(m, as_partial_magma(e.image)) is not None
+
+    def test_transformation_poloid_closures_are_poloids(self):
+        points = (1, 2)
+        fns = full_transformation_magma(points).members
+        assert len(fns) == 14
+
+        def identities(f):
+            return (identity_transformation(points, f.domain),
+                    identity_transformation(points, f.codomain))
+
+        closures = {_closure(pair, identities)
+                    for pair in combinations_with_replacement(fns, 2)}
+        images = [MapMagma(points, tuple(c)) for c in closures]
+        poloids = [a for a in images if is_transformation_semigroupoid(a)]
+        assert len(poloids) == 12
+        for image in poloids:
+            assert is_transformation_poloid(image) is True
+            m = as_partial_magma(image)
+            assert classify(m).verdicts["poloid"]
+            e = cayley_embedding(m)
+            assert find_isomorphism(m, as_partial_magma(e.image)) is not None
+
+
 class TestComposesEachPairOnce:
     # each pair of maps is composed once per map magma, however many
     # checks read the composite
@@ -281,6 +366,13 @@ class TestSerialization:
         assert "iso:" in text
         assert "e1 -> e1" in text and "e2 -> e2" in text
         assert text.startswith("set: e1 e2\nmode: supset\n")
+
+    def test_arrows_in_element_names_read_back(self):
+        m = parse_magma("elements: a->b c\na->b: a->b -\nc: - c\n")
+        for embed in (cayley_embedding, embed_right_poloid):
+            image = embed(m).image
+            assert parse_map_magma(serialize_map_magma(image)) == image
+            assert parse_map_magma(serialize_embedding(embed(m))) == image
 
     def test_right_poloid_embedding_text(self):
         m = magma(["p", "q"], [["p", None], [None, "q"]])
