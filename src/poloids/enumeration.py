@@ -18,21 +18,28 @@ as a law the requested class implies is definitely broken:
   (poloid, groupoid, monoid, group, right_poloid, normal, unit_posetal):
   x.phi_x = x, so a completed row x must contain x.
 
-Only the triples that read the newly assigned cell are checked.  The
-survivors are still run through the real checkers.
+Only the triples that read the newly assigned cell k = (a, b) are
+checked.  Those where k is xy or yz, (a, b, t) and (t, a, b), are
+listed once per walk, keeping only the ones whose other cell is already
+chosen; those where k is (xy)z or x(yz) are found through the cells
+already holding a and b, which the walk keeps per value.  The survivors
+are still run through the real checkers.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
-Algorithms 1998).  Each node carries the relabellings pi that are still
-tied: pi(T) equals T at every flat position, in order, where both are
-determined.  A node is dropped as soon as some pi(T) is certainly
-smaller than T, and pi leaves the list for the subtree once pi(T) is
-certainly larger.  Every verdict class is closed under relabelling and
-the law prunes drop only tables that break a law, so the least member
-of each isomorphism class is reached and kept; every other member has a
-smaller relabelling and is dropped by the time its last cell is set.
-The least table is the class's ``canonical_form``, so the classes come
-out in canonical order.  The labelled walk is the same walk with no
+Algorithms 1998).  A relabelling pi is tied while pi(T) equals T at
+every flat position, in order, where both are determined.  The node is
+dropped as soon as some pi(T) is certainly smaller than T, and pi leaves
+for the subtree once pi(T) is certainly larger.  Each tied pi waits in
+the bucket of the cell that blocks its comparison, max(p, source[p]) at
+the first undecided position p, so assigning cell k advances only
+bucket k; the two-watched-literal scheme of SAT solvers (Moskewicz et
+al., "Chaff", 2001).  Every verdict class is closed under relabelling
+and the law prunes drop only tables that break a law, so the least
+member of each isomorphism class is reached and kept; every other member
+has a smaller relabelling and is dropped by the time its last cell is
+set.  The least table is the class's ``canonical_form``, so the classes
+come out in canonical order.  The labelled walk is the same walk with no
 relabellings.
 """
 
@@ -103,57 +110,11 @@ def all_magmas(n: int) -> Iterator[PartialMagma]:
             yield PartialMagma(names, table)
 
 
-def _triple_broken(values: list[int], n: int, x: int, y: int, z: int, two_sided: bool) -> bool:
-    """Definite triple-law violation at (x, y, z) in a partially built table.
-
-    Cells hold an element index, ``n`` for undefined, or ``-1`` for not
-    yet chosen; only violations that no later choice can repair count.
-    The one-sided law is triggered by xy with yz or (xy)z defined; the
-    two-sided law is also triggered by yz and x(yz) defined.
-    """
-    xy = values[x * n + y]
-    yz = values[y * n + z]
-    if xy == n:
-        # only the two-sided law's trigger, yz and x(yz) defined, is left
-        return two_sided and 0 <= yz < n and 0 <= values[x * n + yz] < n
-    if xy < 0:
-        return False
-    wz = values[xy * n + z]
-    if yz == n:
-        return 0 <= wz < n  # (xy)z defined forces yz defined
-    if yz < 0:
-        return False
-    # trigger holds: xy and yz defined
-    xv = values[x * n + yz]
-    return wz == n or xv == n or (wz >= 0 and xv >= 0 and wz != xv)
-
-
-def _cell_broken(values: list[int], n: int, k: int, two_sided: bool) -> bool:
-    """Definite violation among the triples that read cell k = (a, b).
-
-    The parent node had none, so a new one must read the new cell: as
-    xy in (a, b, z), as yz in (x, a, b), as (xy)z in the (x, y, b) with
-    xy = a, or as x(yz) in the (a, y, z) with yz = b.
-    """
-    a, b = divmod(k, n)
-    for t in range(n):
-        if _triple_broken(values, n, a, b, t, two_sided):
-            return True
-        if _triple_broken(values, n, t, a, b, two_sided):
-            return True
-    for c, v in enumerate(values):
-        if v == a and _triple_broken(values, n, c // n, c % n, b, two_sided):
-            return True
-        if v == b and _triple_broken(values, n, a, c // n, c % n, two_sided):
-            return True
-    return False
-
-
-def _relabellings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Every relabelling but the identity, as (source, image, 0).
+def _relabellings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every relabelling but the identity, as (source, image).
 
     The relabelled table pi(T) holds ``image[T[source[p]]]`` at flat
-    position p; the 0 is the first position not yet known to be tied.
+    position p.
     """
     cells = range(n * n)
     found = []
@@ -164,33 +125,8 @@ def _relabellings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         for old, new in enumerate(perm):
             inv[new] = old
         source = tuple(inv[p // n] * n + inv[p % n] for p in cells)
-        found.append((source, perm + (n,), 0))
+        found.append((source, perm + (n,)))
     return found
-
-
-def _still_least(values: list[int], alive: list) -> list | None:
-    """The relabellings still tied with the partial table T, or None once
-    one of them is certainly smaller than T.
-
-    Compares pi(T) with T position by position, from where the last
-    comparison stopped, while both are determined (``-1`` is not yet
-    chosen).  A pi that is certainly larger is dropped: the positions
-    that decided it are fixed in the whole subtree.
-    """
-    tied = []
-    for source, image, p in alive:
-        cells = len(source)
-        while p < cells:
-            t, s = values[p], values[source[p]]
-            if t < 0 or s < 0 or image[s] != t:
-                break
-            p += 1
-        if p < cells and t >= 0 and s >= 0:
-            if image[s] < t:
-                return None
-            continue
-        tied.append((source, image, p))
-    return tied
 
 
 def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[PartialMagma]:
@@ -215,9 +151,81 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     right_unit = verdict in _RIGHT_POLOID_CLASSES
     choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
     cells = n * n
-    values = [-1] * cells
+    values = [-1] * cells  # -1: not yet chosen
+    holders = [[] for _ in range(n + 1)]  # holders[v]: the chosen cells holding v
+    # readers[k]: the triples (a, b, t) and (t, a, b) through cell k = (a, b)
+    # whose xy and yz cells are both chosen once k is, as (xy, yz, x*n, z)
+    readers = [
+        [(k, b * n + t, a * n, t) for t in range(n) if b * n + t <= k]
+        + [(t * n + a, k, t * n, b) for t in range(n) if t * n + a <= k]
+        for k in range(cells) for a, b in [divmod(k, n)]
+    ]
+    # buckets[k]: the tied relabellings (source, image, p) whose comparison
+    # stopped at position p, where cell max(p, source[p]) = k is unchosen
+    buckets = [[] for _ in range(cells)]
+    for source, image in _relabellings(n) if up_to_iso else ():
+        buckets[source[0]].append((source, image, 0))
+    trail = []  # the buckets appended to, popped in reverse on undo
 
-    def walk(k: int, alive: list) -> Iterator[PartialMagma]:
+    def broken(i: int, j: int, xn: int, z: int) -> bool:
+        """Definite triple-law violation at (x, y, z), with xy at cell i
+        and yz at cell j; only violations no later choice can repair
+        count.  The one-sided law is triggered by xy with yz or (xy)z
+        defined; the two-sided law also by yz and x(yz) defined."""
+        xy, yz = values[i], values[j]
+        if xy == n:
+            return two_sided and 0 <= yz < n and 0 <= values[xn + yz] < n
+        if xy < 0:
+            return False
+        wz = values[xy * n + z]
+        if yz == n:
+            return 0 <= wz < n  # (xy)z defined forces yz defined
+        if yz < 0:
+            return False
+        xv = values[xn + yz]
+        return wz == n or xv == n or (wz >= 0 and xv >= 0 and wz != xv)
+
+    def cell_broken(k: int, a: int, b: int) -> bool:
+        """A violation among the triples that read cell k = (a, b); the
+        parent node had none.  Cell k is xy in (a, b, t), yz in
+        (t, a, b), (xy)z in (x, y, b) with xy = a and x(yz) in (a, y, z)
+        with yz = b."""
+        for i, j, xn, z in readers[k]:
+            if broken(i, j, xn, z):
+                return True
+        for c in holders[a]:
+            if broken(c, c % n * n + b, c - c % n, b):
+                return True
+        for c in holders[b]:
+            if broken(a * n + c // n, c, a * n, c % n):
+                return True
+        return False
+
+    def still_least(k: int) -> bool:
+        """Advance the relabellings waiting on cell k; False once some
+        pi(T) is certainly smaller than T.  A pi that is certainly larger
+        leaves for the subtree.  One tied at every position is an
+        automorphism of the finished T and leaves too, so the |Aut(T)| - 1
+        relabellings that leave at a leaf are where an orbit-weighted
+        count would read its weight n!/|Aut(T)|."""
+        for source, image, p in buckets[k]:
+            while True:
+                t, u = values[p], image[values[source[p]]]
+                if u != t:
+                    if u < t:
+                        return False
+                    break
+                p += 1
+                if p == cells:
+                    break
+                w = max(p, source[p])
+                if w > k:
+                    buckets[w].append((source, image, p))
+                    trail.append(w)
+                    break
+        return True
+
+    def walk(k: int) -> Iterator[PartialMagma]:
         if k == cells:
             if all(v == n for v in values):
                 return
@@ -231,14 +239,17 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
             values[k] = v
             if row_done and x not in values[k - y:k + 1]:
                 continue  # x.phi_x = x needs x in row x
-            if pruned and _cell_broken(values, n, k, two_sided):
-                continue
-            tied = _still_least(values, alive)
-            if tied is not None:
-                yield from walk(k + 1, tied)
+            holders[v].append(k)
+            if not (pruned and cell_broken(k, x, y)):
+                mark = len(trail)
+                if still_least(k):
+                    yield from walk(k + 1)
+                while len(trail) > mark:
+                    buckets[trail.pop()].pop()
+            holders[v].pop()
         values[k] = -1
 
-    yield from walk(0, _relabellings(n) if up_to_iso else [])
+    yield from walk(0)
 
 
 def count_by_class(n: int) -> dict[str, int]:

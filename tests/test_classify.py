@@ -404,10 +404,17 @@ class TestDuality:
 class TestRelabelledTripleLaws:
     # the triple-law verdicts the census reads hold on T exactly when they
     # hold on every relabelling pi(T), and a failing triple (x, y, z) of T
-    # fails in pi(T) as (pi x, pi y, pi z)
+    # fails in pi(T) as (pi x, pi y, pi z); likewise every other failed
+    # verdict of classify: its witness, mapped through pi, shows the same
+    # failure in pi(T), though pi(T)'s own first witness may differ
     CHECKERS = ((is_semigroupoid, False), (is_right_directed_semigroupoid, True))
+    KINDS = {
+        "associativity", "missing-unit", "non-unique-inverse", "undefined-cell",
+        "extra-unit", "left-unit-clash", "antisymmetry",
+    }
 
-    def assert_invariant(self, m):
+    def assert_invariant(self, m, seen=None):
+        report = classify(m)
         for perm in permutations(range(m.size)):
             image = relabel(m, perm)
             for check, one_sided in self.CHECKERS:
@@ -419,16 +426,72 @@ class TestRelabelledTripleLaws:
                     assert replays_associativity(image.table, x, y, z, one_sided), (
                         m.table, perm, check.__name__, w.elements,
                     )
+            verdicts = classify(image).verdicts
+            for name, w in report.witnesses:
+                assert not verdicts[name], (m.table, perm, name)
+                mapped = Witness(w.kind, tuple(perm[i] for i in w.elements))
+                assert replays_witness(image.table, name, mapped), (m.table, perm, name, w)
+                if seen is not None:
+                    seen.add(w.kind)
 
     def test_every_table_up_to_two_elements(self):
+        seen = set()
         for n in (1, 2):
             for m in all_magmas(n):
-                self.assert_invariant(m)
+                self.assert_invariant(m, seen)
+        assert seen == self.KINDS
 
     def test_every_97th_table_on_three_elements(self):
         for i, m in enumerate(all_magmas(3)):
             if i % 97 == 0:
                 self.assert_invariant(m)
+
+    def test_every_right_directed_semigroupoid_on_three_elements(self):
+        # the unit witnesses are rare among all tables and common here
+        seen = set()
+        for m in filtered(3, "right_directed_semigroupoid"):
+            self.assert_invariant(m, seen)
+        assert seen == self.KINDS
+
+
+def replays_witness(t, verdict, w):
+    """Whether the witness w against the named verdict shows that verdict
+    failing in table t.  Units, left units and phi are recomputed here
+    from t alone."""
+    n = len(t)
+    lefts = {e for e in range(n) if all(t[e][x] in (None, x) for x in range(n))}
+    units = {e for e in lefts if all(t[x][e] in (None, x) for x in range(n))}
+    one_sided = verdict in ("right_directed_semigroupoid", "right_poloid", "normal", "unit_posetal")
+    kind, el = w.kind, w.elements
+    if kind == "associativity":
+        return replays_associativity(t, *el, one_sided=one_sided)
+    if kind == "undefined-cell":
+        return t[el[0]][el[1]] is None
+    if kind == "extra-unit":  # a poloid has a unit, so two are named
+        return len(el) == 2 and el[0] != el[1] and set(el) <= units
+    if kind == "missing-unit" and one_sided:  # no local right unit
+        return not any(t[el[0]][l] == el[0] for l in lefts)
+    if kind == "missing-unit":  # no effective unit on one side
+        x = el[0]
+        return not any(t[e][x] is not None for e in units) or not any(
+            t[x][e] is not None for e in units
+        )
+    if kind == "non-unique-inverse":
+        x, *named = el
+        found = {y for y in range(n) if t[x][y] in units and t[y][x] in units}
+        return not found if not named else len(set(named)) == 2 and set(named) <= found
+    if kind == "left-unit-clash" and len(el) == 3:  # two local right units
+        x, l0, l1 = el
+        return l0 != l1 and {l0, l1} <= lefts and t[x][l0] == x == t[x][l1]
+    # the rest fail on a right poloid, whose phi_x is its one local right unit
+    phi = [next(l for l in lefts if t[x][l] == x) for x in range(n)]
+    if kind == "left-unit-clash":  # normality
+        px, py = (phi[i] for i in el)
+        return px != py and t[px][py] is not None and t[py][px] is not None
+    if kind == "antisymmetry":  # a <= b iff b.phi_a = a
+        a, b = el
+        return a != b and {a, b} <= lefts and t[b][phi[a]] == a and t[a][phi[b]] == b
+    raise AssertionError(f"unknown witness kind {kind!r}")
 
 
 class TestClassifyReport:

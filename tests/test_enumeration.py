@@ -70,14 +70,16 @@ class TestFiltered:
         for name in VERDICT_NAMES:
             assert [to_flat(m) for m in filtered(3, name)] == small_census.by_class[name], name
 
-    def test_poloids_and_right_poloids_at_four_elements(self):
-        # poloids are the small categories: 55 with four morphisms
-        for name, labelled, classes in (("poloid", 973, 55), ("right_poloid", 5039, 268)):
-            found = list(filtered(4, name))
-            assert len(found) == labelled, name
+    def test_poloids_and_right_poloids_at_four_elements(self, labelled_at_four):
+        # poloids are the small categories: 55 with four morphisms; for
+        # every class the walk up to isomorphism keeps the first table of
+        # each isomorphism class in the labelled stream
+        for name, (_, first) in labelled_at_four.items():
             least = [to_flat(m) for m in filtered(4, name, up_to_iso=True)]
-            assert len(least) == classes, name
-            assert least == first_in_stream(found), name
+            assert least == first, name
+        for name, labelled, classes in (("poloid", 973, 55), ("right_poloid", 5039, 268)):
+            assert labelled_at_four[name][0] == labelled, name
+            assert len(labelled_at_four[name][1]) == classes, name
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
@@ -168,6 +170,13 @@ class TestUpToIsomorphism:
         flats = [to_flat(m) for m in least]
         assert flats == sorted(set(flats))
         assert all(canonical_form(m) == f for m, f in zip(least, flats))
+
+    def test_orbit_stabilizer_at_four_elements(self, labelled_at_four):
+        # a class T has 4!/|Aut(T)| labelled members; |Aut(T)| is counted
+        # over the 24 relabellings, apart from the walk's own symmetry test
+        for name, (labelled, _) in labelled_at_four.items():
+            classes = filtered(4, name, up_to_iso=True)
+            assert sum(24 // automorphisms(m) for m in classes) == labelled, name
 
     def test_poloids_at_five_elements(self):
         # frozen after the labelled walk at five elements (29,221
@@ -278,6 +287,23 @@ class TestCanonicalForm:
             form = canonical_form(m)
             assert form == min(to_flat(r) for r in relabelled)
             assert all(canonical_form(r) == form for r in relabelled)
+
+
+@pytest.fixture(scope="module")
+def labelled_at_four():
+    """For every class but total, the labelled walk on four elements: its
+    length and the first table of each isomorphism class in it."""
+    walks = {}
+    for name in VERDICT_NAMES:
+        if name != "total":
+            found = list(filtered(4, name))
+            walks[name] = len(found), first_in_stream(found)
+    return walks
+
+
+def automorphisms(m) -> int:
+    """|Aut(m)|: the relabellings of the carrier that leave m unchanged."""
+    return sum(relabel(m, perm) == m for perm in permutations(range(m.size)))
 
 
 def first_in_stream(magmas) -> list:
