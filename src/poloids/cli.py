@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success or a true verdict, 1 a false verdict (the witness
-is printed), 2 parse or I/O failure, 3 precondition failure, 4 a broken
+is printed), 2 parse or I/O failure, a map-magma file that is not closed
+or composes nowhere included, 3 precondition failure, 4 a broken
 internal invariant (a ``RuntimeError``; its message is printed, a
-defect in this package rather than in the input).
+defect in this package rather than in the input).  Each file is checked
+by its parser and the constructors it calls, and by nothing here.
 
 The parser is built once, on the first call of ``main``, as it costs more
 than most requests of a program that calls ``main`` many times.  It holds
@@ -38,23 +40,16 @@ def _read(path: str) -> str:
 
 
 def _load_magma(path: str) -> tables.PartialMagma:
-    """A Cayley table from either file kind.
-
-    Map-magma files are rendered through their composition table; they
-    must be closed for that to make sense.
-    """
+    """A Cayley table from either file kind, told apart by a ``set:`` head;
+    a map-magma file is rendered through its composition table."""
     text = _read(path)
     lines = tables._content_lines(text)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    if not lines[0].startswith("set:"):
+    if not lines or tables._heading(lines[0], "set") is None:
         return tables.parse_magma(text)
-    magma = maps.parse_map_magma(text)
-    closed = maps.is_closed(magma)
-    if not closed:
-        names = magma.member_names()
-        raise ParseError("map magma is not closed under composition (%s)" % closed.format(names))
-    return maps.as_partial_magma(magma)
+    try:
+        return maps.as_partial_magma(maps.parse_map_magma(text))
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def cmd_classify(args) -> int:

@@ -45,7 +45,8 @@ relabellings.
 
 from __future__ import annotations
 
-from itertools import permutations, product as iproduct
+from functools import cache
+from itertools import islice, permutations, product as iproduct
 from typing import Iterator
 
 from .classify import VERDICT_NAMES, _Analysis, classify
@@ -110,7 +111,8 @@ def all_magmas(n: int) -> Iterator[PartialMagma]:
             yield PartialMagma(names, table)
 
 
-def _relabellings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@cache
+def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every relabelling but the identity, as (source, image).
 
     The relabelled table pi(T) holds ``image[T[source[p]]]`` at flat
@@ -118,15 +120,13 @@ def _relabellings(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """
     cells = range(n * n)
     found = []
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
+    for perm in islice(permutations(range(n)), 1, None):  # the first is the identity
         inv = [0] * n  # inv[x] is the old label of the new element x
         for old, new in enumerate(perm):
             inv[new] = old
         source = tuple(inv[p // n] * n + inv[p % n] for p in cells)
         found.append((source, perm + (n,)))
-    return found
+    return tuple(found)
 
 
 def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[PartialMagma]:
@@ -272,15 +272,6 @@ def count_by_class(n: int) -> dict[str, int]:
 
 def canonical_form(m: PartialMagma) -> tuple[int, ...]:
     """The least relabelling of the flat table over all carrier permutations."""
-    n = m.size
     flat = to_flat(m)
-    best = None
-    for perm in permutations(range(n)):
-        inv = [0] * n  # inv[x] is the old label of the new element x
-        for old, new in enumerate(perm):
-            inv[new] = old
-        image = perm + (n,)  # relabels a cell value; undefined stays n
-        relabeled = tuple(image[flat[i * n + j]] for i in inv for j in inv)
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
+    return min([flat] + [tuple(image[flat[s]] for s in source)
+                         for source, image in _relabellings(m.size)])

@@ -41,7 +41,7 @@ from itertools import combinations, product as iproduct
 from typing import Mapping
 
 from .errors import BoundExceeded, ParseError, PreconditionError
-from .tables import PartialMagma, Witness, _content_lines, _fact, _valid_token
+from .tables import PartialMagma, Witness, _content_lines, _fact, _heading, _split_arrow, _valid_token
 
 
 class Mode(enum.Enum):
@@ -346,7 +346,8 @@ def as_partial_magma(a: MapMagma) -> PartialMagma:
     """Cayley table of a closed map magma, over its canonical member order."""
     closed = is_closed(a)
     if not closed:
-        raise PreconditionError("map magma is not closed under composition", closed)
+        raise PreconditionError("map magma is not closed under composition (%s)"
+                                % closed.format(a.member_names()), closed)
     if all(cell is None for row in a.table for cell in row):
         raise PreconditionError("composition is nowhere defined; not a magma")
     return PartialMagma(a.member_names(), a.table)
@@ -376,15 +377,13 @@ def parse_map_magma(text: str) -> MapMagma:
     lines = _content_lines(text)
     if len(lines) < 2:
         raise ParseError("map-magma file needs 'set:' and 'mode:' lines")
-    head, sep, rest = lines[0].partition(":")
-    if head.strip() != "set" or not sep:
+    if (rest := _heading(lines[0], "set")) is None:
         raise ParseError("map-magma file must start with a 'set:' line")
     points = tuple(rest.split())
     for p in points:
         if not _valid_token(p):
             raise ParseError(f"invalid point token {p!r}")
-    head, sep, rest = lines[1].partition(":")
-    if head.strip() != "mode" or not sep:
+    if (rest := _heading(lines[1], "mode")) is None:
         raise ParseError("second line must be a 'mode:' line")
     try:
         mode = Mode(rest.strip())
@@ -415,9 +414,7 @@ def parse_map_magma(text: str) -> MapMagma:
 
     names = tuple(name for name, _, _ in entries)
     for line in iso[1:]:
-        words = line.split()  # names hold no whitespace, but may hold "->"
-        element, arrow, member = words if len(words) == 3 and words[1] == "->" else (
-            part.strip() for part in line.partition("->"))
+        element, arrow, member = _split_arrow(line)
         if not arrow or not _valid_token(element) or not _valid_token(member):
             raise ParseError(f"expected '<element> -> <map>' in the iso block, got {line!r}")
         if member not in names:

@@ -7,18 +7,19 @@ reflects definedness does its image inherit the poloid structure.
 
 Each rule is checked in one place: :func:`_preserves` and :func:`_reflects`
 are the two halves of a structure map for morphisms, the isomorphism search
-and the embeddings of :mod:`poloids.represent` alike, and :func:`_restrict`
-is the closure check of a subset for subpoloids and images.
+and the embeddings of :mod:`poloids.represent` alike; :func:`_restrict`
+builds the magma on a subset, closure checked, for subpoloids and images;
+and the constructors check the rest, an :class:`ActionSpec`'s maps too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .classify import _Analysis, _require
 from .errors import BoundExceeded, ParseError, PreconditionError
-from .maps import OUTSIDE, MapMagma, Mode, PartialFn, as_partial_magma, compose_maps
-from .tables import PartialMagma, Witness, _content_lines, _is_index, units
+from .maps import OUTSIDE, MapMagma, Mode, as_partial_magma, compose_maps
+from .tables import PartialMagma, Witness, _content_lines, _heading, _is_index, _split_arrow, units
 
 ISO_SEARCH_BOUND = 8  # largest carrier find_isomorphism searches
 
@@ -70,15 +71,21 @@ def _reflects(s, t, f):
     return True
 
 
-def _restrict(t, sub):
-    """Table ``t`` on the sorted indices ``sub``, reindexed by position in
-    ``sub``, or the first not-closed (x, y) whose product leaves ``sub``."""
+def _restrict(m: PartialMagma, sub):
+    """``m`` on the sorted indices ``sub``, reindexed by position in ``sub``
+    and named by it, or the first not-closed (x, y) whose product leaves
+    ``sub``, or empty-operation when no product on ``sub`` is defined."""
+    t = m.table
     back = {v: i for i, v in enumerate(sub)}
     for x in sub:
         for y in sub:
             if t[x][y] is not None and t[x][y] not in back:
                 return Witness("not-closed", (x, y))
-    return tuple(tuple(None if t[x][y] is None else back[t[x][y]] for y in sub) for x in sub)
+    table = tuple(tuple(None if t[x][y] is None else back[t[x][y]] for y in sub) for x in sub)
+    try:
+        return PartialMagma(tuple(m.elements[x] for x in sub), table)
+    except ValueError:  # the constructor's one rule a restriction can break
+        return Witness("empty-operation", tuple(sub))
 
 
 def is_homomorphism(m: Morphism):
@@ -126,11 +133,9 @@ def image_poloid(m: Morphism) -> PartialMagma:
     refl = reflects_definedness(m)
     if not refl:
         raise PreconditionError("does not reflect definedness", refl)
-    image = sorted(set(m.mapping))
-    table = _restrict(m.target.table, image)
-    if not table:
-        raise RuntimeError("image not closed in the target")
-    result = PartialMagma(tuple(m.target.elements[v] for v in image), table)
+    result = _restrict(m.target, sorted(set(m.mapping)))
+    if not result:
+        raise RuntimeError(f"image of a reflecting homomorphism is {result.kind} in the target")
     if not _Analysis(result).poloid:
         raise RuntimeError("image of a reflecting homomorphism must be a poloid")
     return result
@@ -231,12 +236,10 @@ def is_subpoloid(p: PartialMagma, subset):
         if not _is_index(x, p.size):
             raise ValueError(f"index {x!r} is not an element index")
     sub = sorted(inside)
-    table = _restrict(p.table, sub)
-    if not table:
-        return table
-    if all(cell is None for row in table for cell in row):
-        return Witness("empty-operation", tuple(sub))
-    restricted = _Analysis(PartialMagma(tuple(p.elements[x] for x in sub), table))
+    magma = _restrict(p, sub)
+    if not magma:
+        return magma
+    restricted = _Analysis(magma)
     poloid = restricted.poloid
     if not poloid:
         return Witness(poloid.kind, tuple(sub[i] for i in poloid.elements))
@@ -252,24 +255,22 @@ class ActionSpec:
     """A poloid element for every point-map on a ground set.
 
     ``assignment[i]`` is the map (all prefunctions or all partial
-    functions, each non-empty, on ``ground``) acting for element ``i``.
+    functions, each non-empty, on ``ground``) acting for element ``i``;
+    their SUPSET :class:`MapMagma` ``magma`` checks their kind and ground.
     """
 
     poloid: PartialMagma
     ground: tuple
     assignment: tuple
+    magma: MapMagma = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ground", tuple(self.ground))
         object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != self.poloid.size:
             raise ValueError("one map per poloid element required")
-        kinds = {isinstance(f, PartialFn) for f in self.assignment}
-        if len(kinds) != 1:
-            raise ValueError("maps must be all prefunctions or all functions")
-        for f in self.assignment:
-            if f.ground != self.ground:
-                raise ValueError("map ground set mismatch")
+        distinct = tuple(dict.fromkeys(self.assignment))
+        object.__setattr__(self, "magma", MapMagma(self.ground, distinct, Mode.SUPSET))
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ def is_poloid_action(a: ActionSpec) -> ActionResult:
     """
     source = _Analysis(a.poloid)
     _require(source.unit_maps, "not a poloid")
-    image = MapMagma(a.ground, tuple(dict.fromkeys(a.assignment)), Mode.SUPSET)
+    image = a.magma
     added = ()
     while True:  # adjoin the composites that fall outside until none is left
         members = image.members
@@ -324,22 +325,22 @@ def is_poloid_action(a: ActionSpec) -> ActionResult:
 
 
 def parse_morphism(src: PartialMagma, dst: PartialMagma, text: str) -> Morphism:
-    """Parse ``hom: <src-elem> -> <dst-elem>`` lines, one per source element."""
+    """Parse ``hom: <src-elem> -> <dst-elem>`` lines, one per source element;
+    names may hold ``->``, as in :func:`poloids.tables._split_arrow`."""
     mapping: dict[int, int] = {}
     for line in _content_lines(text):
-        head, sep, rest = line.partition(":")
-        if head.strip() != "hom" or not sep:
+        if (rest := _heading(line, "hom")) is None:
             raise ParseError(f"expected 'hom: <src> -> <dst>', got {line!r}")
-        a, arrow, b = rest.partition("->")
+        a, arrow, b = _split_arrow(rest)
         if not arrow:
             raise ParseError(f"missing '->' in {line!r}")
         try:
-            i = src.index(a.strip())
-            j = dst.index(b.strip())
+            i = src.index(a)
+            j = dst.index(b)
         except KeyError as exc:
             raise ParseError(str(exc)) from None
         if i in mapping:
-            raise ParseError(f"element {a.strip()!r} mapped twice")
+            raise ParseError(f"element {a!r} mapped twice")
         mapping[i] = j
     if len(mapping) != src.size:
         raise ParseError("every source element needs exactly one hom line")

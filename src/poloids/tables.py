@@ -61,6 +61,20 @@ def _content_lines(text: str) -> list[str]:
     return [line for line in lines if line]
 
 
+def _heading(line: str, word: str) -> str | None:
+    """What follows ``<word>:`` on ``line``, or None when the line has another head."""
+    head, sep, rest = line.partition(":")
+    return rest if sep and head.strip() == word else None
+
+
+def _split_arrow(text: str) -> tuple[str, str, str]:
+    """``<a> -> <b>`` cut like ``str.partition``, parts stripped: at a spaced
+    ``->`` between two words (names may hold ``->``), else at the first."""
+    words = text.split()
+    parts = words if len(words) == 3 and words[1] == "->" else text.partition("->")
+    return tuple(part.strip() for part in parts)
+
+
 class _fact:
     """A method run on first read; its value then shadows it on the instance."""
 
@@ -237,8 +251,7 @@ def parse_magma(text: str) -> PartialMagma:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty magma file")
-    head, sep, rest = lines[0].partition(":")
-    if head.strip() != "elements" or not sep:
+    if (rest := _heading(lines[0], "elements")) is None:
         raise ParseError("magma file must start with an 'elements:' line")
     names = rest.split()
     n = len(names)

@@ -70,7 +70,23 @@ class TestClassify:
         code = main(["classify", write("open.maps", text)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "not closed" in err
+        assert err == "error: map magma is not closed under composition (not-closed s,s)\n"
+
+    def test_nowhere_defined_map_magma_is_a_parse_failure(self, write, capsys):
+        # like a table file whose cells are all '-', it is bad input
+        text = "set: 1 2\nmode: supset\nmap f: 1->2\n"
+        assert main(["classify", write("nowhere.maps", text)]) == 2
+        assert capsys.readouterr().err == "error: composition is nowhere defined; not a magma\n"
+
+    def test_spaced_set_head_is_a_map_magma(self, write, capsys):
+        # the head rule of parse_map_magma, which compose reads it by
+        path = write("spaced.maps", GAP_MAGMA.replace("set:", "set :"))
+        assert main(["compose", path, "g", "f"]) == 0
+        assert capsys.readouterr().out == "Id[1]\n"
+        assert main(["classify", path]) == 0
+        spaced = capsys.readouterr().out
+        main(["classify", write("gap.maps", GAP_MAGMA)])
+        assert spaced == capsys.readouterr().out
 
     def test_missing_file(self, capsys):
         assert main(["classify", "no-such-file"]) == 2
@@ -174,6 +190,47 @@ class TestConstructorRulesInFiles:
         assert "Traceback" not in err
 
 
+# Layout rules that the parsers check themselves, one file breaking each.
+_LAYOUT_RULES = {
+    "empty-file": "",
+    "comments-only": "# nothing here\n",
+    "row-without-colon": "elements: a\na a\n",
+    "invalid-point-token": "set: 1 -\nmode: supset\nmap f: 1->1\n",
+    "second-line-not-mode": "set: 1 2\nmodes: supset\nmap f: 1->1\n",
+    "body-line-without-colon": _MAPS_HEAD + "map f 1->1\n",
+    "bad-map-head": _MAPS_HEAD + "fn f: 1->1\n",
+    "bad-cod-head": _MAPS_HEAD + "map f: 1->1\ncod: 1\n",
+    "invalid-map-name": _MAPS_HEAD + "map -: 1->1\n",
+    "cod-before-its-map": _MAPS_HEAD + "cod f: 1\nmap f: 1->1\n",
+    "cod-after-another-map": _MAPS_HEAD + "map f: 1->1\nmap g: 2->2\ncod f: 1\n",
+    "duplicate-cod": _MAPS_HEAD + "map f: 1->1\ncod f: 1\ncod f: 1 2\n",
+}
+_MORPHISM_RULES = {
+    "not-a-hom-line": "hom: e1 -> e1\nmap: e2 -> e2\n",
+    "missing-arrow": "hom: e1 -> e1\nhom: e2 e2\n",
+    "mapped-twice": "hom: e1 -> e1\nhom: e1 -> e2\n",
+}
+
+
+class TestLayoutRulesInFiles:
+    @staticmethod
+    def _one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", list(_LAYOUT_RULES.values()), ids=list(_LAYOUT_RULES))
+    def test_structure_file(self, write, capsys, text):
+        assert main(["classify", write("bad.txt", text)]) == 2
+        self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", list(_MORPHISM_RULES.values()), ids=list(_MORPHISM_RULES))
+    def test_morphism_file(self, write, capsys, text):
+        src = write("two.magma", TWO_UNIT)
+        assert main(["check-hom", src, src, write("bad.hom", text)]) == 2
+        self._one_error_line(capsys)
+
+
 class TestEmbed:
     def test_two_unit_groupoid(self, write, capsys):
         code = main(["embed", write("two.magma", TWO_UNIT)])
@@ -274,6 +331,18 @@ class TestEnumerate:
         for f in files:
             assert parse_magma(f.read_text()).size == 2
 
+    def test_emit_without_filter(self, tmp_path, capsys):
+        # the one request that writes out all_magmas
+        out_dir = tmp_path / "all"
+        assert main(["enumerate", "-n", "2", "--emit", str(out_dir)]) == 0
+        assert capsys.readouterr().out == "partial_magmas: 80\n"
+        files = sorted(out_dir.glob("*.magma"))
+        assert len(files) == 80
+        from poloids import parse_magma
+        from poloids.enumeration import all_magmas
+
+        assert [parse_magma(f.read_text()) for f in files] == list(all_magmas(2))
+
     def test_bound(self, capsys):
         assert main(["enumerate", "-n", "4"]) == 3
         assert main(["enumerate", "-n", "5", "--filter", "group"]) == 3
@@ -332,6 +401,16 @@ class TestCheckHom:
         out = capsys.readouterr().out
         assert code == 1
         assert "homomorphism: no" in out
+
+    def test_arrows_in_element_names(self, write, capsys):
+        from poloids import Morphism, parse_magma, serialize_morphism
+
+        m = parse_magma(ARROW_NAMES)
+        text = serialize_morphism(Morphism(m, m, (0, 1)))
+        assert text == "hom: a->b -> a->b\nhom: c -> c\n"
+        src = write("arrows.magma", ARROW_NAMES)
+        assert main(["check-hom", src, src, write("id.hom", text)]) == 0
+        assert capsys.readouterr().out == "homomorphism: yes\nreflects_definedness: yes\n"
 
     def test_non_poloid_source(self, write, capsys):
         src = write("rz.magma", RIGHT_ZERO)

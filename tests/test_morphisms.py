@@ -152,6 +152,12 @@ class TestIsomorphism:
     def test_collapse_is_not(self):
         assert not is_isomorphism(Morphism(z2(), trivial_group(), (0, 0)))
 
+    def test_bijection_between_non_poloids(self):
+        # bijective, and a homomorphism of the tables, but no poloid map
+        m = right_zero(2)
+        assert find_isomorphism(m, m) is not None
+        assert not is_isomorphism(identity_morphism(m))
+
     def test_cayley_assignment_is_iso(self, poloid_corpus):
         for m in poloid_corpus:
             e = cayley_embedding(m)
@@ -393,6 +399,21 @@ class TestActions:
         assert is_poloid_action(spec)
         assert calls[0] == m.size ** 2 == 16
 
+    def test_rejects_a_map_count_other_than_the_poloid_size(self):
+        X = (1, 2)
+        with pytest.raises(ValueError):
+            ActionSpec(z2(), X, (identity_transformation(X, X),))
+
+    def test_rejects_mixed_kinds(self):
+        X = (1, 2)
+        with pytest.raises(ValueError):
+            ActionSpec(z2(), X, (identity_transformation(X, X), Prefunction(X, {1: 2, 2: 1})))
+
+    def test_rejects_maps_on_another_ground_set(self):
+        X, Y = (1, 2), (1, 2, 3)
+        with pytest.raises(ValueError):
+            ActionSpec(z2(), X, (identity_transformation(X, X), identity_transformation(Y, X)))
+
     def test_requires_poloid(self):
         X = (1, 2)
         with pytest.raises(PreconditionError):
@@ -407,6 +428,12 @@ class TestMorphismFiles:
         m = Morphism(src, dst, (0, 0))
         text = serialize_morphism(m)
         assert parse_morphism(src, dst, text) == m
+
+    def test_round_trip_with_arrows_in_element_names(self):
+        m = magma(("a->b", "c"), [["a->b", None], [None, "c"]])
+        for mapping in ((0, 1), (1, 0)):
+            h = Morphism(m, m, mapping)
+            assert parse_morphism(m, m, serialize_morphism(h)) == h
 
     def test_parse(self):
         src, dst = two_unit_groupoid(), trivial_group()

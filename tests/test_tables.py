@@ -232,6 +232,20 @@ class TestPrecedes:
             assert t[z][0] is None or t[t[z][0]][1] is None
         assert not precedes(m, 0, 1)
 
+    def test_through_a_right_factor(self):
+        # ab is undefined and column a is empty, so only a(bc) = ac
+        # makes a precede b
+        m = magma("abc", [[None, None, "a"], [None, None, "c"], [None, None, None]])
+        assert m.table[0][1] is None
+        assert precedes(m, 0, 1)
+
+    def test_through_a_left_factor(self):
+        # ab is undefined and row a is empty, so only (ca)b = cb makes
+        # a precede b
+        m = magma("abc", [[None, None, None], [None, None, None], ["c", "c", None]])
+        assert m.table[0][1] is None
+        assert precedes(m, 0, 1)
+
     def test_reflexive_on_trivial(self):
         assert precedes(trivial_group(), 0, 0)
 
