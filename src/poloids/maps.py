@@ -4,10 +4,14 @@ Two kinds of member are supported: prefunctions (a domain and an
 assignment, no codomain) and partial functions, which are prefunctions
 that also have a codomain containing their image.  A map is stored like
 a row of a Cayley table: ``values[i]`` is the ground position of the
-image of ``ground[i]``, or ``None`` off the domain; the constructors,
-where points come in, turn them into positions.  A :class:`MapMagma` is
-a finite set of members of one kind together with a composition regime
-that decides when ``f.g`` is defined:
+image of ``ground[i]``, or ``None`` off the domain, and a codomain is
+kept as ascending ground positions.  One builder sets a map's fields,
+checking the two rules positions can still break (a non-empty domain, a
+codomain holding the image).  Points become positions only where they
+come in, at the constructors and the parser; every map derived from
+checked maps is built from positions.  A :class:`MapMagma` is a finite
+set of members of one kind together with a composition regime that
+decides when ``f.g`` is defined:
 
 ==============  ==========================================
 ``SUPSET``      dom(f) contains im(g)
@@ -20,16 +24,12 @@ Every regime composes the same way, ``h[i] = f.values[g.values[i]]``,
 so the composite's domain is the g-preimage of dom(f); the regime only
 decides whether it is defined.  In every regime but OVERLAP that
 preimage is the domain of g.  For functions the codomain is cod(f).
-
 Members are kept in a canonical order (domain, then values, then
-codomain, all compared via ground-set positions) so that rendering a
-map magma as a Cayley table is deterministic.
-
-Each pair of members is composed once, into :attr:`MapMagma.table`,
-which every check on composites reads; maps keep their domain and image.
-
-Each rule on maps is checked by its constructor (ground set, assignment,
-codomain, one kind of distinct members with distinct names);
+codomain, as ground positions) so that rendering a map magma as a
+Cayley table is deterministic.  Each pair of members is composed once,
+into :attr:`MapMagma.table`, which every check on composites reads.
+Each rule on maps is checked once, by its constructor (ground set,
+assignment, codomain, one kind of distinct members with distinct names);
 :func:`parse_map_magma` checks the layout and reports theirs as ``ParseError``.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from typing import Mapping
 
 from .errors import BoundExceeded, ParseError, PreconditionError
@@ -53,6 +53,36 @@ class Mode(enum.Enum):
     CODOMAIN = "codomain"
 
 
+def _read(ground, assignment) -> tuple:
+    """The checked ground set, and the positions of ``assignment``'s points."""
+    ground = tuple(ground)
+    if len(set(ground)) != len(ground) or not ground:
+        raise ValueError("ground set must be non-empty and duplicate-free")
+    pos = {p: i for i, p in enumerate(ground)}
+    values = [None] * len(ground)
+    for p, q in assignment.items() if isinstance(assignment, Mapping) else assignment:
+        if p not in pos or q not in pos:
+            raise ValueError(f"assignment pair ({p!r}, {q!r}) leaves the ground set")
+        if values[pos[p]] is not None:
+            raise ValueError(f"point {p!r} assigned twice")
+        values[pos[p]] = pos[q]
+    return ground, tuple(values)
+
+
+def _map(ground, values: tuple, cod: tuple | None = None, into=None):
+    """The one place a map's fields are set (``into`` a constructor's instance,
+    or a new map; a function if ``cod``); checks dom non-empty and im <= cod."""
+    if values.count(None) == len(values):
+        raise ValueError("a prefunction must have a non-empty domain")
+    if cod is not None and set(values).difference(cod, (None,)):
+        raise ValueError("codomain must contain the image")
+    m = into if into is not None else object.__new__(Prefunction if cod is None else PartialFn)
+    vars(m).update(ground=ground, values=values)
+    if cod is not None:
+        vars(m)["_cod"] = cod
+    return m
+
+
 @dataclass(frozen=True, init=False)
 class Prefunction:
     """A non-empty partial self-map on ``ground``, without a codomain.
@@ -66,25 +96,15 @@ class Prefunction:
 
     def __init__(self, ground, assignment):
         """``assignment`` maps points to points, as a mapping or as pairs."""
-        ground = tuple(ground)
-        if len(set(ground)) != len(ground) or not ground:
-            raise ValueError("ground set must be non-empty and duplicate-free")
-        pos = {p: i for i, p in enumerate(ground)}
-        values = [None] * len(ground)
-        for p, q in assignment.items() if isinstance(assignment, Mapping) else assignment:
-            if p not in pos or q not in pos:
-                raise ValueError(f"assignment pair ({p!r}, {q!r}) leaves the ground set")
-            if values[pos[p]] is not None:
-                raise ValueError(f"point {p!r} assigned twice")
-            values[pos[p]] = pos[q]
-        if values.count(None) == len(values):
-            raise ValueError("a prefunction must have a non-empty domain")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "values", tuple(values))
+        _map(*_read(ground, assignment), into=self)
+
+    @_fact
+    def _dom(self) -> tuple:  # the ground positions of the domain
+        return tuple(i for i, v in enumerate(self.values) if v is not None)
 
     @_fact
     def domain(self) -> tuple:
-        return tuple(p for p, v in zip(self.ground, self.values) if v is not None)
+        return tuple(self.ground[i] for i in self._dom)
 
     @_fact
     def image(self) -> tuple:
@@ -110,38 +130,42 @@ class Prefunction:
 class PartialFn(Prefunction):
     """A prefunction with an explicit codomain: im(f) <= cod(f) <= ground."""
 
-    codomain: tuple
+    _cod: tuple  # the ground positions of the codomain, ascending
 
     def __init__(self, pre: Prefunction, codomain):
-        object.__setattr__(self, "ground", pre.ground)
-        object.__setattr__(self, "values", pre.values)
-        pos = {p: i for i, p in enumerate(self.ground)}
         given = tuple(codomain)
         for p in given:
-            if p not in pos:
+            if p not in pre.ground:
                 raise ValueError(f"codomain point {p!r} not in the ground set")
-        cod = tuple(sorted(set(given), key=pos.get))
+        cod = sorted({pre.ground.index(p) for p in given})
         if len(cod) != len(given):
             raise ValueError("duplicate codomain point")
-        object.__setattr__(self, "codomain", cod)
-        if not set(self.image) <= set(cod):
-            raise ValueError("codomain must contain the image")
+        _map(pre.ground, pre.values, tuple(cod), into=self)
+
+    @_fact
+    def codomain(self) -> tuple:
+        return tuple(self.ground[i] for i in self._cod)
 
     @property
     def pre(self) -> Prefunction:
-        return Prefunction(self.ground, self.assignment)
+        return _map(self.ground, self.values)
 
     def is_identity(self) -> bool:
         """An identity transformation: dom = cod and every point fixed."""
-        return super().is_identity() and self.codomain == self.domain
+        return super().is_identity() and self._cod == self._dom
 
 
 def identity_pretransformation(ground, dom) -> Prefunction:
-    return Prefunction(tuple(ground), {p: p for p in dom})
+    return _map(*_read(ground, {p: p for p in dom}))
 
 
 def identity_transformation(ground, dom) -> PartialFn:
     return PartialFn(identity_pretransformation(ground, dom), tuple(dom))
+
+
+def _identity(ground, positions: tuple) -> PartialFn:
+    """The identity transformation on the ground positions ``positions``."""
+    return _map(ground, tuple(i if i in positions else None for i in range(len(ground))), positions)
 
 
 def compose_maps(f, g, mode: Mode = Mode.SUPSET):
@@ -160,23 +184,19 @@ def compose_maps(f, g, mode: Mode = Mode.SUPSET):
     elif mode is Mode.OVERLAP:  # h is already the restriction to the preimage
         defined = h.count(None) < len(h)
     elif mode is Mode.EXACT_IMAGE:
-        defined = f.domain == g.image
+        defined = set(f._dom) == set(g.values) - {None}
     elif mode is Mode.CODOMAIN:
         if not f_fn:
             raise ValueError("codomain composition needs functions")
-        defined = f.domain == g.codomain
+        defined = f._dom == g._cod
     else:  # pragma: no cover
         raise ValueError(mode)
-    if not defined:
-        return None
-    ground = f.ground
-    pre = Prefunction(ground, [(p, ground[v]) for p, v in zip(ground, h) if v is not None])
-    return PartialFn(pre, f.codomain) if f_fn else pre
+    return _map(f.ground, h, f._cod if f_fn else None) if defined else None
 
 
 def _member_key(m):
-    dom_mask = sum(1 << i for i, v in enumerate(m.values) if v is not None)
-    cod_mask = sum(1 << m.ground.index(p) for p in m.codomain) if isinstance(m, PartialFn) else -1
+    dom_mask = sum(1 << i for i in m._dom)
+    cod_mask = sum(1 << i for i in m._cod) if isinstance(m, PartialFn) else -1
     return (dom_mask, m.values, cod_mask)
 
 
@@ -272,27 +292,24 @@ FULL_MAGMA_BOUND = 4  # largest ground set the full map magmas are built on
 def full_pretransformation_magma(points) -> MapMagma:
     """All non-empty prefunctions on ``points``, under SUPSET composition."""
     points = tuple(points)
-    if len(points) > FULL_MAGMA_BOUND:
-        raise BoundExceeded(f"ground set of {len(points)} exceeds bound {FULL_MAGMA_BOUND}")
-    members = []
-    for choice in iproduct(range(len(points) + 1), repeat=len(points)):
-        pairs = {p: points[c] for p, c in zip(points, choice) if c < len(points)}
-        if pairs:
-            members.append(Prefunction(points, pairs))
-    return MapMagma(points, tuple(members), Mode.SUPSET)
+    n = len(points)
+    if n > FULL_MAGMA_BOUND:
+        raise BoundExceeded(f"ground set of {n} exceeds bound {FULL_MAGMA_BOUND}")
+    if points:  # with no points there is no member, which MapMagma reports
+        _read(points, ())
+    members = tuple(_map(points, tuple(None if c == n else c for c in choice))
+                    for choice in iproduct(range(n + 1), repeat=n) if choice.count(n) < n)
+    return MapMagma(points, members, Mode.SUPSET)
 
 
 def full_transformation_magma(points) -> MapMagma:
     """All non-empty partial functions on ``points``, under SUPSET composition."""
     base = full_pretransformation_magma(points)
-    points = base.ground
-    members = []
-    for pre in base.members:
-        rest = [p for p in points if p not in set(pre.image)]
-        for k in range(len(rest) + 1):
-            for extra in combinations(rest, k):
-                members.append(PartialFn(pre, pre.image + extra))
-    return MapMagma(points, tuple(members), Mode.SUPSET)
+    n = len(base.ground)
+    codomains = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2 ** n)]
+    members = tuple(_map(base.ground, pre.values, cod) for pre in base.members for cod in codomains
+                    if set(pre.values).issubset(cod + (None,)))
+    return MapMagma(base.ground, members, Mode.SUPSET)
 
 
 def is_closed(a: MapMagma):
@@ -309,7 +326,7 @@ def is_transformation_semigroupoid(a: MapMagma):
         raise PreconditionError("expected a transformation magma (functions, supset mode)")
     for i, row in enumerate(a.table):  # a defined cell means dom(f) contains im(g)
         for j, cell in enumerate(row):
-            if cell is not None and a.members[i].domain != a.members[j].codomain:
+            if cell is not None and a.members[i]._dom != a.members[j]._cod:
                 return Witness("dom-cod-mismatch", (i, j))
     return True
 
@@ -319,8 +336,7 @@ def is_transformation_poloid(a: MapMagma):
     sg = is_transformation_semigroupoid(a)
     if not sg:
         raise PreconditionError("not a transformation semigroupoid", sg)
-    return _holds_identities(a, lambda f: (identity_transformation(a.ground, f.domain),
-                                           identity_transformation(a.ground, f.codomain)))
+    return _holds_identities(a, lambda f: (_identity(a.ground, f._dom), _identity(a.ground, f._cod)))
 
 
 def is_domain_pretransformation_magma(a: MapMagma):
@@ -348,9 +364,10 @@ def as_partial_magma(a: MapMagma) -> PartialMagma:
     if not closed:
         raise PreconditionError("map magma is not closed under composition (%s)"
                                 % closed.format(a.member_names()), closed)
-    if all(cell is None for row in a.table for cell in row):
-        raise PreconditionError("composition is nowhere defined; not a magma")
-    return PartialMagma(a.member_names(), a.table)
+    try:  # the constructor refuses a composition that is defined nowhere
+        return PartialMagma(a.member_names(), a.table)
+    except ValueError as exc:
+        raise PreconditionError(str(exc)) from None
 
 
 def _split_pair(name: str, tok: str, points) -> tuple:

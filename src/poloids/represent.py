@@ -1,15 +1,16 @@
 """Representation of poloids and right poloids by partial self-maps.
 
 One pipeline in two steps.  First each element x becomes the left
-translation t -> xt on the carrier; for a poloid this is a faithful
-copy, for a right poloid a (possibly non-injective) quotient.  Second,
-for poloids, each translation gets as codomain the domain of the
-translation of x's effective left unit, so that the image composes
-exactly when the original products were defined: that checked upgrade
-is :func:`attach_codomains`, and with the transformation-poloid check
-of its image, the Cayley-style :func:`cayley_embedding`.
-
-Normal right poloids skip the upgrade and embed directly into a domain
+translation t -> xt on the carrier: row x of the table, taken as ground
+positions by the one map builder of :mod:`poloids.maps`, with no points
+read.  For a poloid this is a faithful copy, for a right poloid a
+(possibly non-injective) quotient.  Second, for poloids, each translation
+gets as codomain the domain positions of the translation of x's
+effective left unit, so that the image composes exactly when the
+original products were defined: that checked upgrade is
+:func:`attach_codomains`, and with the transformation-poloid check of
+its image, the Cayley-style :func:`cayley_embedding`.  Normal right
+poloids skip the upgrade and embed directly into a domain
 pretransformation magma: normality is precisely what makes the
 translation map injective.
 
@@ -29,8 +30,7 @@ from .errors import PreconditionError
 from .maps import (
     MapMagma,
     Mode,
-    PartialFn,
-    Prefunction,
+    _map,
     identity_pretransformation,
     is_closed,
     is_domain_pretransformation_magma,
@@ -60,18 +60,14 @@ class Embedding:
         return self.image.members[self.assignment[i]]
 
 
-def _translations(m: PartialMagma) -> list[Prefunction]:
-    """Each element x as the prefunction t -> xt on the carrier."""
-    names = m.elements
-    return [
-        Prefunction(names, {names[t]: names[v] for t, v in enumerate(row) if v is not None})
-        for row in m.table
-    ]
+def _translations(m: PartialMagma) -> list:
+    """Each element x as the prefunction t -> xt on the carrier: row x."""
+    return [_map(m.elements, row) for row in m.table]
 
 
 def _codomain_upgrade(translations: list, eps) -> list:
     """x's translation with the domain of eps_x's translation as codomain."""
-    return [PartialFn(f, translations[e].domain) for f, e in zip(translations, eps)]
+    return [_map(f.ground, f.values, translations[e]._dom) for f, e in zip(translations, eps)]
 
 
 def _classified(p: PartialMagma, *wanted):

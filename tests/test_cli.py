@@ -76,7 +76,7 @@ class TestClassify:
         # like a table file whose cells are all '-', it is bad input
         text = "set: 1 2\nmode: supset\nmap f: 1->2\n"
         assert main(["classify", write("nowhere.maps", text)]) == 2
-        assert capsys.readouterr().err == "error: composition is nowhere defined; not a magma\n"
+        assert capsys.readouterr().err == "error: the operation must be defined on at least one pair\n"
 
     def test_spaced_set_head_is_a_map_magma(self, write, capsys):
         # the head rule of parse_map_magma, which compose reads it by

@@ -28,6 +28,7 @@ from poloids import (
     parse_map_magma,
     serialize_map_magma,
 )
+from poloids import maps
 
 X2 = (1, 2)
 X3 = (1, 2, 3)
@@ -193,6 +194,50 @@ class TestComposeOracle:
                 assert compose_maps(f, g, mode) == _expected_composite(f, g, mode), (f, g, mode)
                 seen += 1
         assert seen == cases
+
+
+def _from_points(m):
+    """``m`` built again from its points through the public constructors."""
+    pre = Prefunction(m.ground, m.assignment)
+    return PartialFn(pre, m.codomain) if isinstance(m, PartialFn) else pre
+
+
+class TestPositionsAndPoints:
+    # maps derived from checked maps are built from ground positions; each
+    # must equal, and hash like, the same map built from its points
+
+    @pytest.mark.parametrize("full, modes", [
+        (full_pretransformation_magma, (Mode.SUPSET, Mode.OVERLAP, Mode.EXACT_IMAGE)),
+        (full_transformation_magma, tuple(Mode)),
+    ], ids=["prefunctions", "partial-functions"])
+    def test_every_composite_on_three_points(self, full, modes):
+        members = full(X3).members
+        defined = 0
+        for f in members:
+            built = _from_points(f)
+            assert f == built and hash(f) == hash(built)
+            for g, mode in iproduct(members, modes):
+                h = compose_maps(f, g, mode)
+                if h is not None:
+                    built = _from_points(h)
+                    assert h == built and hash(h) == hash(built), (f, g, mode)
+                    defined += 1
+        assert defined > len(members)
+
+    def test_pre_of_a_function(self):
+        for f in full_transformation_magma(X3).members:
+            built = Prefunction(X3, f.assignment)
+            assert f.pre == built and hash(f.pre) == hash(built)
+
+    def test_builder_refuses_what_positions_can_break(self):
+        with pytest.raises(ValueError, match="^codomain must contain the image$"):
+            maps._map(X3, (1, None, 2), (1,))
+        with pytest.raises(ValueError, match="^a prefunction must have a non-empty domain$"):
+            maps._map(X3, (None, None, None))
+        with pytest.raises(ValueError, match="^codomain must contain the image$"):
+            PartialFn(Prefunction(X3, {1: 2, 3: 3}), (2,))
+        with pytest.raises(ValueError, match="^a prefunction must have a non-empty domain$"):
+            Prefunction(X3, ())
 
 
 class TestEncoding:
@@ -450,6 +495,10 @@ class TestAsPartialMagma:
         swap = Prefunction(X2, {1: 2, 2: 1})
         with pytest.raises(PreconditionError):
             as_partial_magma(MapMagma(X2, (swap,)))
+
+    def test_nowhere_defined_is_refused_by_the_table_constructor(self):
+        with pytest.raises(PreconditionError, match="^the operation must be defined on at least one pair$"):
+            as_partial_magma(MapMagma(X2, (Prefunction(X2, {1: 2}),)))
 
     def test_deterministic_member_order(self):
         members = (

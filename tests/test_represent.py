@@ -8,6 +8,7 @@ from poloids import (
     MapMagma,
     PartialFn,
     PreconditionError,
+    Prefunction,
     as_partial_magma,
     attach_codomains,
     cayley_embedding,
@@ -357,6 +358,51 @@ class TestComposesEachPairOnce:
         assert main(["classify", str(path)]) == 0
         assert "poloid: yes" in capsys.readouterr().out
         assert calls[0] == pair_groupoid2().size ** 2
+
+
+class TestBuiltFromPositions:
+    # translations and their upgrades are built from table rows, not points
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_translations_equal_their_point_builds(self, n):
+        seen = 0
+        for cls in ("poloid", "normal"):
+            for m in filtered(n, cls, up_to_iso=True):
+                names = m.elements
+                translations = represent._translations(m)
+                built = [
+                    Prefunction(names, {names[t]: names[v] for t, v in enumerate(row) if v is not None})
+                    for row in m.table
+                ]
+                assert translations == built and list(map(hash, translations)) == list(map(hash, built))
+                if cls == "poloid":
+                    eps = classify(m).eps
+                    upgraded = represent._codomain_upgrade(translations, eps)
+                    built = [PartialFn(f, built[e].domain) for f, e in zip(built, eps)]
+                    assert upgraded == built and list(map(hash, upgraded)) == list(map(hash, built))
+                seen += 1
+        assert seen > 0
+
+    def test_no_point_constructor_runs(self, monkeypatch):
+        full = (full_pretransformation_magma((1, 2, 3)), full_transformation_magma((1, 2, 3)))
+        calls = []
+        for cls in (Prefunction, PartialFn):
+            original = cls.__init__
+
+            def counted(self, *args, _original=original):
+                calls.append(args)
+                _original(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for a in full:
+            for mode in (maps.Mode.SUPSET, maps.Mode.OVERLAP, maps.Mode.EXACT_IMAGE):
+                assert MapMagma(a.ground, a.members, mode).table
+        assert MapMagma(full[1].ground, full[1].members, maps.Mode.CODOMAIN).table
+        m = pair_groupoid2()
+        assert m.size == 4
+        cayley_embedding(m)
+        embed_right_poloid(m)
+        assert calls == []
 
 
 class TestSerialization:
