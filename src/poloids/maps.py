@@ -27,7 +27,8 @@ preimage is the domain of g.  For functions the codomain is cod(f).
 Members are kept in a canonical order (domain, then values, then
 codomain, as ground positions) so that rendering a map magma as a
 Cayley table is deterministic.  Each pair of members is composed once,
-into :attr:`MapMagma.table`, which every check on composites reads.
+into :attr:`MapMagma.table`, which every check on composites reads; the
+identity checks compare the domain positions of identity members.
 Each rule on maps is checked once, by its constructor (ground set,
 assignment, codomain, one kind of distinct members with distinct names);
 :func:`parse_map_magma` checks the layout and reports theirs as ``ParseError``.
@@ -156,16 +157,11 @@ class PartialFn(Prefunction):
 
 
 def identity_pretransformation(ground, dom) -> Prefunction:
-    return _map(*_read(ground, {p: p for p in dom}))
+    return Prefunction(ground, {p: p for p in dom})
 
 
 def identity_transformation(ground, dom) -> PartialFn:
     return PartialFn(identity_pretransformation(ground, dom), tuple(dom))
-
-
-def _identity(ground, positions: tuple) -> PartialFn:
-    """The identity transformation on the ground positions ``positions``."""
-    return _map(ground, tuple(i if i in positions else None for i in range(len(ground))), positions)
 
 
 def compose_maps(f, g, mode: Mode = Mode.SUPSET):
@@ -336,24 +332,25 @@ def is_transformation_poloid(a: MapMagma):
     sg = is_transformation_semigroupoid(a)
     if not sg:
         raise PreconditionError("not a transformation semigroupoid", sg)
-    return _holds_identities(a, lambda f: (_identity(a.ground, f._dom), _identity(a.ground, f._cod)))
+    return _holds_identities(a, lambda f: (f._dom, f._cod))
 
 
 def is_domain_pretransformation_magma(a: MapMagma):
     """Whether a closed pretransformation magma holds Id_dom(f) for each member f."""
     if a.mode is not Mode.SUPSET or isinstance(a.members[0], PartialFn):
         raise PreconditionError("expected a pretransformation magma (prefunctions, supset mode)")
-    return _holds_identities(a, lambda f: (identity_pretransformation(a.ground, f.domain),))
+    return _holds_identities(a, lambda f: (f._dom,))
 
 
-def _holds_identities(a: MapMagma, identities):
-    """Whether a closed map magma holds ``identities(f)`` for each member f."""
+def _holds_identities(a: MapMagma, domains):
+    """Whether a closed map magma holds, for each member f, an identity member
+    (for functions, with codomain its domain) on each of ``domains(f)``."""
     closed = is_closed(a)
     if not closed:
         raise PreconditionError("not closed under composition", closed)
-    member_set = set(a.members)
+    held = {g._dom for g in a.members if g.is_identity()}
     for i, f in enumerate(a.members):
-        if not member_set.issuperset(identities(f)):
+        if not held.issuperset(domains(f)):
             return Witness("missing-unit", (i,))
     return True
 

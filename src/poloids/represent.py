@@ -18,7 +18,9 @@ Every constructor verifies the properties it is supposed to deliver,
 each once, and raises ``RuntimeError`` if any fails, so a successful
 return value is a checked certificate, not a promise.  One helper builds
 each image and checks its structure map, by the same two scans as a
-morphism in :mod:`poloids.morphisms`.
+morphism in :mod:`poloids.morphisms`; those scans also prove the image
+closed, and the phi_x equation, on domain positions, proves that the
+right poloid image holds Id on each member's domain.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from .maps import (
     MapMagma,
     Mode,
     _map,
-    identity_pretransformation,
-    is_closed,
-    is_domain_pretransformation_magma,
     is_transformation_poloid,
     serialize_map_magma,
 )
@@ -84,7 +83,8 @@ def _classified(p: PartialMagma, *wanted):
 def _checked_image(p: PartialMagma, maps: list, injective: bool,
                    changed="products not preserved", lost="definedness not reflected"):
     """The image of x -> maps[x], named by the elements if injective, and its
-    assignment, checked to be injective if asked and to preserve and reflect."""
+    assignment, checked to be injective if asked and to preserve and reflect;
+    as every member is some maps[x], those two checks also prove it closed."""
     members = tuple(dict.fromkeys(maps))
     one_to_one = len(members) == p.size
     if injective and not one_to_one:
@@ -119,8 +119,6 @@ def left_translation_embedding(p: PartialMagma) -> Embedding:
     """
     _classified(p, ("right_poloid", "not a right poloid"))
     image, assignment = _checked_image(p, _translations(p), injective=False)
-    if not is_closed(image):
-        raise RuntimeError("translation image not closed")
     return Embedding(p, image, assignment)
 
 
@@ -165,19 +163,18 @@ def embed_right_poloid(p: PartialMagma) -> Embedding:
     The image is the translation image together with the identity
     prefunctions on the translations' domains; the two sets coincide
     because the translation of phi_x is exactly Id on dom of x's
-    translation, and that equation is verified here.  Fails with the
-    normality witness on a non-normal input, where no injective
-    translation map exists.
+    translation.  That equation, checked on domain positions, with the
+    closure of the checked image is the domain pretransformation magma
+    property.  Fails with the normality witness on a non-normal input,
+    where no injective translation map exists.
     """
     report = _classified(p, ("right_poloid", "not a right poloid"),
                          ("normal", "not a normal right poloid ({})"))
     maps = _translations(p)
     for f, phi_x in zip(maps, report.phi):
-        if maps[phi_x] != identity_pretransformation(p.elements, f.domain):
+        if not (maps[phi_x].is_identity() and maps[phi_x]._dom == f._dom):
             raise RuntimeError("translation of phi_x is not Id on dom of x's translation")
     image, assignment = _checked_image(p, maps, injective=True)
-    if not is_domain_pretransformation_magma(image):
-        raise RuntimeError("image is not a domain pretransformation magma")
     return Embedding(p, image, assignment)
 
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -9,6 +9,7 @@ from poloids import (
     PartialFn,
     PreconditionError,
     Prefunction,
+    Witness,
     as_partial_magma,
     attach_codomains,
     cayley_embedding,
@@ -33,6 +34,7 @@ from poloids import (
 from poloids import maps, represent
 from poloids.cli import main
 from poloids.enumeration import filtered
+from poloids.morphisms import ISO_SEARCH_BOUND
 
 from conftest import (
     magma, pair_groupoid2, right_zero, trivial_group, two_unit_groupoid, z2, z3,
@@ -310,6 +312,98 @@ class TestConverseRepresentation:
             e = cayley_embedding(m)
             assert find_isomorphism(m, as_partial_magma(e.image)) is not None
 
+    def test_transformation_poloid_closures_on_three_points_are_poloids(self):
+        # closure commutes with relabelling the points, so one pair per
+        # orbit of the 6 relabellings reaches every closure up to relabelling
+        points = (1, 2, 3)
+        fns = full_transformation_magma(points).members
+        index = {f: i for i, f in enumerate(fns)}
+        relabel = [
+            [index[PartialFn(Prefunction(points, {pi[p]: pi[q] for p, q in f.assignment}),
+                             [pi[c] for c in f.codomain])] for f in fns]
+            for pi in (dict(zip(points, q)) for q in permutations(points))
+        ]
+        seen, pairs = set(), []
+        for i, j in combinations_with_replacement(range(len(fns)), 2):
+            if (i, j) not in seen:
+                pairs.append((fns[i], fns[j]))
+                seen.update((min(r[i], r[j]), max(r[i], r[j])) for r in relabel)
+
+        def identities(f):
+            return (identity_transformation(points, f.domain),
+                    identity_transformation(points, f.codomain))
+
+        closures = {_closure(pair, identities) for pair in pairs}
+        images = [MapMagma(points, tuple(c)) for c in closures]
+        poloids = [a for a in images if is_transformation_semigroupoid(a)]
+        read_back = 0
+        for image in poloids:
+            assert is_transformation_poloid(image) is True
+            m = as_partial_magma(image)
+            assert classify(m).verdicts["poloid"]
+            # find_isomorphism refuses carriers above ISO_SEARCH_BOUND, so
+            # larger closures are not read back
+            if m.size <= ISO_SEARCH_BOUND:
+                e = cayley_embedding(m)
+                assert find_isomorphism(m, as_partial_magma(e.image)) is not None
+                read_back += 1
+        assert 0 < read_back < len(poloids)
+
+
+def _missing_identity(a: MapMagma, identities):
+    """The identity check built from points: each identity of
+    ``identities(f)`` is built and looked up among the members; True, or
+    the index of the first member f with one missing."""
+    members = set(a.members)
+    for i, f in enumerate(a.members):
+        if not members.issuperset(identities(f)):
+            return i
+    return True
+
+
+class TestIdentitiesByPosition:
+    # the identity checks compare positions; here they are run against the
+    # same check on points, over closures that hold no identity by design
+
+    @staticmethod
+    def _agree(verdict, reference):
+        if reference is True:
+            assert verdict is True
+        else:
+            assert verdict == Witness("missing-unit", (reference,))
+
+    def test_domain_pretransformation_magma(self):
+        points = (1, 2, 3)
+        pres = full_pretransformation_magma(points).members
+        closures = {_closure(pair, lambda f: ()) for pair in combinations_with_replacement(pres, 2)}
+        assert len(closures) == 1637
+        missing = 0
+        for members in closures:
+            a = MapMagma(points, tuple(members))
+            reference = _missing_identity(a, lambda f: (identity_pretransformation(points, f.domain),))
+            self._agree(is_domain_pretransformation_magma(a), reference)
+            missing += reference is not True
+        assert missing == 1449
+
+    def test_transformation_poloid(self):
+        points = (1, 2)
+        fns = full_transformation_magma(points).members
+        closures = {_closure(pair, lambda f: ()) for pair in combinations_with_replacement(fns, 2)}
+        assert len(closures) == 99
+        semigroupoids = missing = 0
+        for members in closures:
+            a = MapMagma(points, tuple(members))
+            if not is_transformation_semigroupoid(a):
+                with pytest.raises(PreconditionError, match="not a transformation semigroupoid"):
+                    is_transformation_poloid(a)
+                continue
+            reference = _missing_identity(a, lambda f: (identity_transformation(points, f.domain),
+                                                        identity_transformation(points, f.codomain)))
+            self._agree(is_transformation_poloid(a), reference)
+            semigroupoids += 1
+            missing += reference is not True
+        assert (semigroupoids, missing) == (28, 19)
+
 
 class TestComposesEachPairOnce:
     # each pair of maps is composed once per map magma, however many
@@ -334,22 +428,6 @@ class TestComposesEachPairOnce:
             calls[0] = 0
             embed(m)
             assert calls[0] == m.size ** 2
-
-    def test_embed_right_poloid_builds_each_domain_identity_twice(self, monkeypatch):
-        # once in the phi_x check and once in the domain pretransformation check
-        calls = [0]
-        original = maps.identity_pretransformation
-
-        def counted(ground, domain):
-            calls[0] += 1
-            return original(ground, domain)
-
-        monkeypatch.setattr(maps, "identity_pretransformation", counted)
-        monkeypatch.setattr(represent, "identity_pretransformation", counted)
-        for m in (z2(), z3(), two_unit_groupoid(), pair_groupoid2(), right_zero(1)):
-            calls[0] = 0
-            embed_right_poloid(m)
-            assert calls[0] == 2 * m.size
 
     def test_classify_a_map_magma_file(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "image.maps"
@@ -383,8 +461,8 @@ class TestBuiltFromPositions:
                 seen += 1
         assert seen > 0
 
-    def test_no_point_constructor_runs(self, monkeypatch):
-        full = (full_pretransformation_magma((1, 2, 3)), full_transformation_magma((1, 2, 3)))
+    @staticmethod
+    def _spy_constructors(monkeypatch):
         calls = []
         for cls in (Prefunction, PartialFn):
             original = cls.__init__
@@ -394,6 +472,11 @@ class TestBuiltFromPositions:
                 _original(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counted)
+        return calls
+
+    def test_no_point_constructor_runs(self, monkeypatch):
+        full = (full_pretransformation_magma((1, 2, 3)), full_transformation_magma((1, 2, 3)))
+        calls = self._spy_constructors(monkeypatch)
         for a in full:
             for mode in (maps.Mode.SUPSET, maps.Mode.OVERLAP, maps.Mode.EXACT_IMAGE):
                 assert MapMagma(a.ground, a.members, mode).table
@@ -402,6 +485,28 @@ class TestBuiltFromPositions:
         assert m.size == 4
         cayley_embedding(m)
         embed_right_poloid(m)
+        assert calls == []
+
+    def test_identity_checks_build_no_map(self, monkeypatch):
+        # the phi_x equation and identity membership compare domain positions
+        calls = self._spy_constructors(monkeypatch)
+        original_identity = maps.identity_pretransformation
+
+        def counted_identity(ground, domain):
+            calls.append((ground, domain))
+            return original_identity(ground, domain)
+
+        monkeypatch.setattr(maps, "identity_pretransformation", counted_identity)
+        checks = ((embed_right_poloid, is_domain_pretransformation_magma, "normal"),
+                  (cayley_embedding, is_transformation_poloid, "poloid"))
+        run = 0
+        for m in (z2(), z3(), two_unit_groupoid(), pair_groupoid2(), right_zero(1)):
+            verdicts = classify(m).verdicts
+            for embed, check, applies in checks:
+                if verdicts[applies]:
+                    assert check(embed(m).image) is True
+                    run += 1
+        assert run == 10
         assert calls == []
 
 
@@ -480,6 +585,12 @@ class TestCertificates:
         self._reversed_upgrade(monkeypatch)
         with pytest.raises(RuntimeError, match="changed a composite"):
             attach_codomains(m, translations)
+
+    def test_left_translation_embedding_rejects_wrong_translations(self, monkeypatch):
+        # the check that also proves the image closed
+        self._shifted_translations(monkeypatch)
+        with pytest.raises(RuntimeError, match="products not preserved"):
+            left_translation_embedding(z2())
 
     def test_embed_right_poloid_rejects_wrong_translations(self, monkeypatch):
         self._shifted_translations(monkeypatch)
