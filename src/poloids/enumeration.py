@@ -14,16 +14,29 @@ as a law the requested class implies is definitely broken:
   others are right-directed semigroupoids);
 - the two-sided triple law, for the classes that imply ``semigroupoid``
   (semigroupoid, poloid, groupoid, monoid, group);
-- a local right unit, for the classes that imply ``right_poloid``
+- the local right unit, for the classes that imply ``right_poloid``
   (poloid, groupoid, monoid, group, right_poloid, normal, unit_posetal):
-  x.phi_x = x, so a completed row x must contain x.
+  each x has exactly one left unit phi_x with x.phi_x = x.  When row r
+  is complete the walk notes whether it is a left-unit row (every cell
+  r.y is y or undefined), then rechecks row r and each earlier row x
+  with x.r = x: it drops the node if such a row holds x in two left-unit
+  columns l <= r, or in none of them and in no column l > r;
+- cancellation, for the classes that imply ``groupoid`` (groupoid,
+  group): xy = xz or yx = zx forces y = z, so a defined value appears at
+  most once in each row and each column.
 
 Only the triples that read the newly assigned cell k = (a, b) are
 checked.  Those where k is xy or yz, (a, b, t) and (t, a, b), are
 listed once per walk, keeping only the ones whose other cell is already
 chosen; those where k is (xy)z or x(yz) are found through the cells
-already holding a and b, which the walk keeps per value.  The survivors
-are still run through the real checkers.
+already holding a and b, which the walk keeps per value.  Rows complete
+in order, so the left-unit status of rows 0..r is final once row r is,
+and so are the cells of those rows: a unit clash among them stays, and a
+row with no unit among them can gain one only from a column l > r that
+holds x.  Each drop is thus a failure of the right-poloid fact ``phi``
+(or of cancellation) that no later cell can repair, and every class the
+prune serves implies that fact.  The survivors are still run through the
+real checkers.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
@@ -69,6 +82,8 @@ _RIGHT_POLOID_CLASSES = frozenset(
 )
 # ... always total, so no cell is undefined
 _TOTAL_CLASSES = frozenset({"total", "monoid", "group"})
+# ... always groupoids, so cancellative: xy = xz or yx = zx forces y = z
+_CANCELLATIVE_CLASSES = frozenset({"groupoid", "group"})
 
 
 def matches(m: PartialMagma, verdict: str) -> bool:
@@ -149,6 +164,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
 
     two_sided = verdict in _SEMIGROUPOID_CLASSES
     right_unit = verdict in _RIGHT_POLOID_CLASSES
+    cancels = verdict in _CANCELLATIVE_CLASSES
     choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
     cells = n * n
     values = [-1] * cells  # -1: not yet chosen
@@ -166,6 +182,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     for source, image in _relabellings(n) if up_to_iso else ():
         buckets[source[0]].append((source, image, 0))
     trail = []  # the buckets appended to, popped in reverse on undo
+    left = [False] * n  # left[r]: complete row r holds only r.y = y or undefined
 
     def broken(i: int, j: int, xn: int, z: int) -> bool:
         """Definite triple-law violation at (x, y, z), with xy at cell i
@@ -198,6 +215,25 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
                 return True
         for c in holders[b]:
             if broken(a * n + c // n, c, a * n, c % n):
+                return True
+        return False
+
+    def phi_broken(r: int) -> bool:
+        """Row r is complete: record whether it is a left-unit row, and
+        whether some complete row x has lost its one left unit l with
+        x.l = x, through two such l <= r or none left to come.  Only row
+        r and the rows x with x.r = x can have changed."""
+        rn = r * n
+        left[r] = all(values[rn + l] in (l, n) for l in range(n))
+        for x in range(r + 1):
+            xn = x * n
+            if x < r and values[xn + r] != x:
+                continue
+            units = 0
+            for l in range(r + 1):
+                if left[l] and values[xn + l] == x:
+                    units += 1
+            if units > 1 or (not units and x not in values[xn + r + 1:xn + n]):
                 return True
         return False
 
@@ -237,10 +273,10 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         row_done = right_unit and y == n - 1
         for v in choices:
             values[k] = v
-            if row_done and x not in values[k - y:k + 1]:
-                continue  # x.phi_x = x needs x in row x
+            if cancels and v < n and (v in values[k - y:k] or v in values[y:k:n]):
+                continue  # xy = xz or yx = zx forces y = z
             holders[v].append(k)
-            if not (pruned and cell_broken(k, x, y)):
+            if not (pruned and cell_broken(k, x, y) or row_done and phi_broken(x)):
                 mark = len(trail)
                 if still_least(k):
                     yield from walk(k + 1)

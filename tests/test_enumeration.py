@@ -129,12 +129,11 @@ class TestTotalityPrune:
             assert found == [m for m in poloids if matches(m, name)], name
             assert len(found) == count, name
 
-    def test_up_to_isomorphism_at_five_elements(self):
-        poloids = list(filtered(5, "poloid", up_to_iso=True))
-        assert len(poloids) == 329
+    def test_up_to_isomorphism_at_five_elements(self, poloids_at_five):
+        assert len(poloids_at_five) == 329
         for name, count in (("monoid", 228), ("group", 1)):
             found = list(filtered(5, name, up_to_iso=True))
-            assert found == [m for m in poloids if matches(m, name)], name
+            assert found == [m for m in poloids_at_five if matches(m, name)], name
             assert len(found) == count, name
 
     def test_filtered_never_lists_every_table(self, monkeypatch):
@@ -147,6 +146,56 @@ class TestTotalityPrune:
         for name in (None, *VERDICT_NAMES):
             for up_to_iso in (False, True):
                 assert list(filtered(2, name, up_to_iso=up_to_iso)), (name, up_to_iso)
+
+
+class TestCancellationPrune:
+    # groupoids and groups never repeat a defined value in a row or a
+    # column; the oracle is the poloid walk, which has no such prune,
+    # filtered by matches
+
+    def test_labelled_groupoids_at_four_elements(self):
+        found = list(filtered(4, "groupoid"))
+        assert found == [m for m in filtered(4, "poloid") if matches(m, "groupoid")]
+        assert len(found) == 65
+
+    def test_up_to_isomorphism_at_five_elements(self, poloids_at_five):
+        for name, count in (("groupoid", 9), ("group", 1)):
+            found = list(filtered(5, name, up_to_iso=True))
+            assert found == [m for m in poloids_at_five if matches(m, name)], name
+            assert len(found) == count, name
+
+
+class TestRightUnitPrune:
+    # the walk drops a node once a complete row x can no longer have
+    # exactly one left unit phi_x with x.phi_x = x
+
+    RIGHT_POLOID_CLASSES = (
+        "poloid", "groupoid", "monoid", "group", "right_poloid", "normal", "unit_posetal",
+    )
+
+    def test_agrees_with_the_right_directed_walk(self):
+        # the right-directed semigroupoid walk uses neither the unit nor
+        # the cancellation prune; each class is closed under relabelling,
+        # so its least tables are the least right-directed ones it holds
+        directed = list(filtered(4, "right_directed_semigroupoid", up_to_iso=True))
+        for name in self.RIGHT_POLOID_CLASSES:
+            found = list(filtered(4, name, up_to_iso=True))
+            assert found == [m for m in directed if matches(m, name)], name
+
+    @pytest.mark.parametrize("n, up_to_iso, yielded", [
+        (3, False, 161), (4, False, 5039), (4, True, 268),
+    ])
+    def test_every_right_poloid_leaf_is_yielded(self, monkeypatch, n, up_to_iso, yielded):
+        # with phi_x checked exactly, every leaf of the right_poloid walk
+        # is a right poloid, so matches never refuses one
+        module = importlib.import_module("poloids.enumeration")
+        built = []
+        real = module.from_flat
+        monkeypatch.setattr(
+            module, "from_flat", lambda flat, size: built.append(flat) or real(flat, size)
+        )
+        found = list(filtered(n, "right_poloid", up_to_iso=up_to_iso))
+        assert len(found) == len(built) == yielded
 
 
 class TestUpToIsomorphism:
@@ -178,10 +227,10 @@ class TestUpToIsomorphism:
             classes = filtered(4, name, up_to_iso=True)
             assert sum(24 // automorphisms(m) for m in classes) == labelled, name
 
-    def test_poloids_at_five_elements(self):
+    def test_poloids_at_five_elements(self, poloids_at_five):
         # frozen after the labelled walk at five elements (29,221
         # poloids) deduplicated by canonical_form gave the same 329
-        flats = [to_flat(m) for m in filtered(5, "poloid", up_to_iso=True)]
+        flats = [to_flat(m) for m in poloids_at_five]
         assert len(flats) == 329
         assert flats == sorted(set(flats))
 
@@ -299,6 +348,12 @@ def labelled_at_four():
             found = list(filtered(4, name))
             walks[name] = len(found), first_in_stream(found)
     return walks
+
+
+@pytest.fixture(scope="module")
+def poloids_at_five():
+    """The poloid walk on five elements up to isomorphism."""
+    return list(filtered(5, "poloid", up_to_iso=True))
 
 
 def automorphisms(m) -> int:
