@@ -6,14 +6,12 @@ from .tables import (
     PartialMagma,
     Witness,
     adjoin_zero,
-    effective_units,
     left_units,
     parse_magma,
     precedes,
     product,
     right_units,
     serialize_magma,
-    units,
 )
 from .maps import (
     MapMagma,
@@ -38,6 +36,7 @@ from .classify import (
     ClassReport,
     classify,
     effective_unit_maps,
+    effective_units,
     initial_units,
     is_group,
     is_groupoid,
@@ -52,6 +51,7 @@ from .classify import (
     is_unit_posetal,
     natural_preorder,
     phi_map,
+    units,
 )
 from .represent import (
     Embedding,

@@ -1,11 +1,11 @@
 """Axiom checkers for the partial-magma hierarchy and the combined report.
 
-Every fact about a magma (its units, the two triple laws, the unit maps
-eps and vareps, inverses, phi, normality, the natural preorder) is
-worked out in one place, a private analysis of that magma that computes
-each fact at most once and only when it is first read.  The public
-checkers are views that read one fact from a fresh analysis;
-:func:`classify` reads every fact from a single one.
+Every fact about a magma (its units and effective units, the two triple
+laws, the unit maps eps and vareps, inverses, phi, normality, the
+natural preorder) is worked out in one place, a private analysis of that
+magma that computes each fact at most once and only when it is first
+read.  The public checkers are views that read one fact from a fresh
+analysis; :func:`classify` reads every fact from a single one.
 
 Checkers return ``True`` or a falsy :class:`~poloids.tables.Witness`; the
 witness names the elements whose replay against the table reproduces the
@@ -68,6 +68,12 @@ class _Analysis:
         rights = set(self.rights)
         return tuple(e for e in self.lefts if e in rights)
 
+    def effective(self, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The units e with ex defined, and the units e with xe defined."""
+        t = self.m.table
+        return (tuple(e for e in self.units if t[e][x] is not None),
+                tuple(e for e in self.units if t[x][e] is not None))
+
     @_fact
     def triple_laws(self):
         """(two-sided, one-sided) triple law, each True or its first
@@ -116,12 +122,9 @@ class _Analysis:
         sg = self.semigroupoid
         if not sg:
             return sg
-        t = self.m.table
-        e_set = self.units
         eps, vareps = [], []
         for x in range(self.m.size):
-            lefts = [e for e in e_set if t[e][x] is not None]
-            rights = [e for e in e_set if t[x][e] is not None]
+            lefts, rights = self.effective(x)
             if not lefts or not rights:
                 return Witness("missing-unit", (x,))
             if len(lefts) > 1 or len(rights) > 1:  # impossible in a semigroupoid
@@ -273,6 +276,23 @@ def is_right_directed_semigroupoid(m: PartialMagma):
 def is_poloid(m: PartialMagma):
     """Semigroupoid in which every element has effective units on both sides."""
     return _Analysis(m).poloid
+
+
+def units(m: PartialMagma) -> tuple[int, ...]:
+    """Two-sided units, under the literal (vacuously permitting) reading.
+
+    An element with no defined products at all qualifies; downstream
+    checks that need effective units filter such pathologies out.
+    """
+    return _Analysis(m).units
+
+
+def effective_units(m: PartialMagma, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Units e with ex defined, and units e with xe defined.
+
+    In a verified poloid both tuples are singletons.
+    """
+    return _Analysis(m).effective(x)
 
 
 def effective_unit_maps(m: PartialMagma) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -78,10 +78,8 @@ def cmd_embed(args) -> int:
 def cmd_enumerate(args) -> int:
     n = args.n
     label = args.filter or "partial_magmas"
-    if args.filter or args.up_to_iso:
+    if args.filter or args.up_to_iso or args.emit:
         found = enumeration.filtered(n, args.filter, up_to_iso=args.up_to_iso)
-    elif args.emit:
-        found = enumeration.all_magmas(n)
     else:
         counts = enumeration.count_by_class(n)
         print(f"partial_magmas: {counts['partial_magmas']}")

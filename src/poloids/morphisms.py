@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from .classify import _Analysis, _require
 from .errors import BoundExceeded, ParseError, PreconditionError
 from .maps import OUTSIDE, MapMagma, Mode, as_partial_magma, compose_maps
-from .tables import PartialMagma, Witness, _content_lines, _heading, _is_index, _split_arrow, units
+from .tables import PartialMagma, Witness, _content_lines, _heading, _is_index, _split_arrow
+from .tables import left_units, right_units
 
 ISO_SEARCH_BOUND = 8  # largest carrier find_isomorphism searches
 
@@ -151,14 +152,16 @@ def is_isomorphism(m: Morphism) -> bool:
     return bool(_homomorphism(m, src, tgt)) and bool(_homomorphism(m.inverse(), tgt, src))
 
 
-def _profile(m: PartialMagma, x: int):
+def _profiles(m: PartialMagma):
+    """Per element x: its defined row and column cells, whether xx is x and
+    whether it is undefined, and whether x is a left and a right unit."""
     t = m.table
-    n = m.size
-    row = sum(1 for y in range(n) if t[x][y] is not None)
-    col = sum(1 for y in range(n) if t[y][x] is not None)
-    lu = all(t[x][y] in (None, y) for y in range(n))
-    ru = all(t[y][x] in (None, y) for y in range(n))
-    return (row, col, t[x][x] == x, t[x][x] is None, lu, ru)
+    lefts, rights = set(left_units(m)), set(right_units(m))
+    return [
+        (sum(c is not None for c in t[x]), sum(row[x] is not None for row in t),
+         t[x][x] == x, t[x][x] is None, x in lefts, x in rights)
+        for x in range(m.size)
+    ]
 
 
 def find_isomorphism(p: PartialMagma, q: PartialMagma) -> Morphism | None:
@@ -174,8 +177,7 @@ def find_isomorphism(p: PartialMagma, q: PartialMagma) -> Morphism | None:
         return None
     if n > ISO_SEARCH_BOUND:
         raise BoundExceeded(f"carriers of {n} elements exceed bound {ISO_SEARCH_BOUND}")
-    p_prof = [_profile(p, x) for x in range(n)]
-    q_prof = [_profile(q, x) for x in range(n)]
+    p_prof, q_prof = _profiles(p), _profiles(q)
     if sorted(p_prof) != sorted(q_prof):
         return None
     candidates = [
@@ -243,7 +245,7 @@ def is_subpoloid(p: PartialMagma, subset):
     poloid = restricted.poloid
     if not poloid:
         return Witness(poloid.kind, tuple(sub[i] for i in poloid.elements))
-    global_units = set(units(p))
+    global_units = set(_Analysis(p).units)
     for e in restricted.units:
         if sub[e] not in global_units:
             return Witness("non-global-unit", (sub[e],))

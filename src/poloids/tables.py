@@ -195,28 +195,6 @@ def right_units(m: PartialMagma) -> tuple[int, ...]:
     )
 
 
-def units(m: PartialMagma) -> tuple[int, ...]:
-    """Two-sided units, under the literal (vacuously permitting) reading.
-
-    An element with no defined products at all qualifies; downstream
-    checks that need effective units filter such pathologies out.
-    """
-    rights = set(right_units(m))
-    return tuple(e for e in left_units(m) if e in rights)
-
-
-def effective_units(m: PartialMagma, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Units e with ex defined, and units e with xe defined.
-
-    In a verified poloid both tuples are singletons.
-    """
-    t = m.table
-    e_set = units(m)
-    lefts = tuple(e for e in e_set if t[e][x] is not None)
-    rights = tuple(e for e in e_set if t[x][e] is not None)
-    return lefts, rights
-
-
 def _fresh_zero_name(elements: Sequence[str]) -> str:
     name = "0"
     while name in elements:

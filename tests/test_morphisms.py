@@ -206,30 +206,46 @@ class TestFindIsomorphism:
                 assert (forward is None) == (backward is None)
 
     def test_agrees_with_brute_force_at_size_two(self):
-        # oracle: try every permutation directly
+        # oracle: try every permutation directly.  All pairs of the first
+        # 40 two-element tables, then, at three elements where the unit
+        # flags of the profiles start to prune, every 997th table against
+        # its six relabellings and the next sampled table
+        from itertools import islice
+
         from poloids.enumeration import all_magmas
 
-        mags = list(all_magmas(2))
-        for p in mags[:40]:
-            for q in mags[:40]:
-                expected = None
-                for perm in permutations(range(2)):
-                    ok = True
-                    for x in range(2):
-                        for y in range(2):
-                            xy = p.table[x][y]
-                            qxy = q.table[perm[x]][perm[y]]
-                            if (xy is None) != (qxy is None):
-                                ok = False
-                            elif xy is not None and perm[xy] != qxy:
-                                ok = False
-                    if ok:
-                        expected = perm
-                        break
-                found = find_isomorphism(p, q)
-                assert (found is None) == (expected is None)
-                if found is not None:
-                    assert found.mapping == expected
+        def brute_force(p, q):
+            n = p.size
+            for perm in permutations(range(n)):
+                if all(
+                    (p.table[x][y] is None) == (q.table[perm[x]][perm[y]] is None)
+                    and (p.table[x][y] is None or perm[p.table[x][y]] == q.table[perm[x]][perm[y]])
+                    for x in range(n) for y in range(n)
+                ):
+                    return perm
+            return None
+
+        def relabelled(p, perm):
+            table = [[None] * p.size for _ in range(p.size)]
+            for x, row in enumerate(p.table):
+                for y, xy in enumerate(row):
+                    table[perm[x]][perm[y]] = None if xy is None else perm[xy]
+            return PartialMagma(p.elements, table)
+
+        mags = list(all_magmas(2))[:40]
+        pairs = [(p, q) for p in mags for q in mags]
+        sample = list(islice(all_magmas(3), 0, None, 997))
+        assert len(sample) == 263
+        for i, p in enumerate(sample):
+            pairs += [(p, relabelled(p, perm)) for perm in permutations(range(3))]
+            pairs.append((p, sample[(i + 1) % len(sample)]))
+        assert len(pairs) == 1600 + 1841
+        for p, q in pairs:
+            expected = brute_force(p, q)
+            found = find_isomorphism(p, q)
+            assert (found is None) == (expected is None), (p, q)
+            if found is not None:
+                assert found.mapping == expected, (p, q)
 
     def test_bound(self):
         big = PartialMagmaOfSize(9)

@@ -283,6 +283,13 @@ class TestUnits:
             rights = tuple(e for e in range(n) if all(t[x][e] in (None, x) for x in range(n)))
             assert left_units(m) == lefts, m
             assert right_units(m) == rights, m
+            both = tuple(e for e in lefts if e in rights)
+            assert units(m) == both, m
+            for x in range(n):
+                assert effective_units(m, x) == (
+                    tuple(e for e in both if t[e][x] is not None),
+                    tuple(e for e in both if t[x][e] is not None),
+                ), (m, x)
 
     @given(magmas())
     def test_units_are_one_sided_units(self, m):
