@@ -88,8 +88,8 @@ def cmd_enumerate(args) -> int:
         return EXIT_OK
     if args.emit:
         found = list(found)
+        _emit(found, args.emit)  # before the count, which claims the files
         print(f"{label}: {len(found)}")
-        _emit(found, args.emit)
     else:  # count the stream without holding it
         print(f"{label}: {sum(1 for _ in found)}")
     return EXIT_OK
@@ -170,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=sorted(VERDICT_NAMES), help="count one class only")
     p.add_argument("--up-to-iso", action="store_true",
                    help="one structure per isomorphism class, the least table of each, "
-                        "generated directly (up to 5 elements with --filter, 3 without a "
-                        "triple law to prune on: no filter or --filter total)")
+                        f"generated directly (up to {enumeration.ISO_BOUND} elements with "
+                        f"--filter, {enumeration.RAW_BOUND} without a triple law to prune on: "
+                        "no filter or --filter total)")
     p.add_argument("--emit", metavar="DIR", help="write the matching structures here")
 
     p = sub.add_parser("compose", help="compose two maps from a map-magma file")

@@ -6,10 +6,11 @@ must turn defined products into defined products, but only when it also
 reflects definedness does its image inherit the poloid structure.
 
 Each rule is checked in one place: :func:`_preserves` and :func:`_reflects`
-are the two halves of a structure map for morphisms, the isomorphism search
-and the embeddings of :mod:`poloids.represent` alike; :func:`_restrict`
-builds the magma on a subset, closure checked, for subpoloids and images;
-and the constructors check the rest, an :class:`ActionSpec`'s maps too.
+are the two halves of a structure map, scanned whole for morphisms and the
+embeddings of :mod:`poloids.represent`, and checked cell by cell by the
+isomorphism search as it places elements; :func:`_restrict` builds the
+magma on a subset, closure checked, for subpoloids and images; and the
+constructors check the rest, an :class:`ActionSpec`'s maps too.
 """
 
 from __future__ import annotations
@@ -40,14 +41,6 @@ class Morphism:
         for v in self.mapping:
             if not _is_index(v, self.target.size):
                 raise ValueError(f"mapping value {v!r} is not a target element index")
-
-    def inverse(self) -> Morphism:
-        if len(set(self.mapping)) != self.source.size or self.source.size != self.target.size:
-            raise ValueError("morphism is not bijective")
-        inv = [0] * self.target.size
-        for i, v in enumerate(self.mapping):
-            inv[v] = i
-        return Morphism(self.target, self.source, tuple(inv))
 
 
 def _preserves(s, t, f):
@@ -143,13 +136,14 @@ def image_poloid(m: Morphism) -> PartialMagma:
 
 
 def is_isomorphism(m: Morphism) -> bool:
-    """Bijective, and a homomorphism in both directions."""
+    """Bijective, and a homomorphism in both directions: the inverse of a
+    bijective homomorphism is one exactly when the map reflects definedness."""
     if m.source.size != m.target.size or len(set(m.mapping)) != m.source.size:
         return False
     src, tgt = _Analysis(m.source), _Analysis(m.target)
     if not src.poloid or not tgt.poloid:
         return False
-    return bool(_homomorphism(m, src, tgt)) and bool(_homomorphism(m.inverse(), tgt, src))
+    return bool(_homomorphism(m, src, tgt)) and bool(reflects_definedness(m))
 
 
 def _profiles(m: PartialMagma):
@@ -170,7 +164,11 @@ def find_isomorphism(p: PartialMagma, q: PartialMagma) -> Morphism | None:
     Backtracking over assignments in index order, pruning on per-element
     definedness profiles, whose unit flags also match the unit counts;
     the first complete assignment found is the lexicographically minimal
-    one.  Carriers above ``ISO_SEARCH_BOUND`` elements are refused.
+    one.  Each cell (a, b) of p is checked in the bucket of the later of a
+    and b (definedness, and that the image of an unplaced ab is free) and
+    in that of ab when it comes later still (its value), so the last
+    bucket completes the check.  Carriers above ``ISO_SEARCH_BOUND``
+    elements are refused.
     """
     n = p.size
     if n != q.size:
@@ -186,25 +184,22 @@ def find_isomorphism(p: PartialMagma, q: PartialMagma) -> Morphism | None:
     s, t = p.table, q.table
     assign = [-1] * n
     used = [False] * n
+    cells = [[] for _ in range(n)]
+    for a, row in enumerate(s):
+        for b, ab in enumerate(row):
+            cells[max(a, b)].append((a, b, ab))
+            if ab is not None and ab > max(a, b):
+                cells[ab].append((a, b, ab))
 
-    def consistent(x: int) -> bool:
-        # assign[x] and used[] already reflect the tentative choice; a
-        # defined product with an unassigned value only needs its target
-        # value to still be available, the equality is checked once the
-        # value's element gets assigned.
-        for a in range(x + 1):
-            for b in range(x + 1):
-                uv = s[a][b]
-                wr = t[assign[a]][assign[b]]
-                if (uv is None) != (wr is None):
+    def fits(x: int) -> bool:
+        # assign[x] and used[] already hold the tentative choice
+        for a, b, ab in cells[x]:
+            image = t[assign[a]][assign[b]]
+            if ab is None:
+                if image is not None:
                     return False
-                if uv is None:
-                    continue
-                if assign[uv] != -1:
-                    if assign[uv] != wr:
-                        return False
-                elif used[wr]:
-                    return False
+            elif image is None or (image != assign[ab] if ab <= x else used[image]):
+                return False
         return True
 
     def extend(x: int) -> bool:
@@ -215,7 +210,7 @@ def find_isomorphism(p: PartialMagma, q: PartialMagma) -> Morphism | None:
                 continue
             assign[x] = y
             used[y] = True
-            if consistent(x) and extend(x + 1):
+            if fits(x) and extend(x + 1):
                 return True
             assign[x] = -1
             used[y] = False
@@ -223,9 +218,6 @@ def find_isomorphism(p: PartialMagma, q: PartialMagma) -> Morphism | None:
 
     if not extend(0):
         return None
-    # the backtracker checks definedness and assigned values; re-verify fully
-    if not (_preserves(s, t, assign) and _reflects(s, t, assign)):
-        raise RuntimeError("search returned a non-isomorphism")
     return Morphism(p, q, tuple(assign))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poloids import cli
+from poloids import cli, enumeration
 from poloids.cli import main
 
 RIGHT_ZERO = "elements: x y\nx: x y\ny: x y\n"
@@ -330,6 +330,12 @@ class TestEnumerate:
 
         for f in files:
             assert parse_magma(f.read_text()).size == 2
+        # a target that cannot be made a directory: no count is claimed
+        capsys.readouterr()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["enumerate", "-n", "1", "--emit", str(blocker)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_emit_without_filter(self, tmp_path, capsys):
         # the one request that writes out all_magmas
@@ -484,6 +490,14 @@ class TestParserReuse:
             assert exc.value.code == code
             assert err in capsys.readouterr().err
         assert run_all() == before
+
+    def test_enumerate_help_names_the_bounds(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "ISO_BOUND", 17)
+        monkeypatch.setattr(enumeration, "RAW_BOUND", 13)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["enumerate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "up to 17 elements with --filter, 13 without" in text
 
     def test_handler_is_looked_up_per_call(self, write, capsys, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, "classify", lambda args: 7)

@@ -178,6 +178,42 @@ class TestIsomorphism:
         assert is_isomorphism(Morphism(source, target, (0, 2, 1)))
         assert sorted(map(id, analysed)) == sorted([id(source), id(target)])
 
+    def test_agrees_with_two_way_definition(self):
+        # oracle: bijective between poloids, and a homomorphism both ways,
+        # the inverse built here; every total map between same-size
+        # classes among the poloid and right-poloid classes on 1-3 elements
+        from itertools import product as maps_of
+
+        from poloids.enumeration import filtered
+
+        def two_way(m):
+            n = m.source.size
+            if n != m.target.size or len(set(m.mapping)) != n:
+                return False
+            src, tgt = _Analysis(m.source), _Analysis(m.target)
+            if not src.poloid or not tgt.poloid:
+                return False
+            inverse = [0] * n
+            for x, y in enumerate(m.mapping):
+                inverse[y] = x
+            back = Morphism(m.target, m.source, tuple(inverse))
+            return bool(morphisms._homomorphism(m, src, tgt)) and bool(
+                morphisms._homomorphism(back, tgt, src))
+
+        checked = isos = 0
+        for n in range(1, 4):
+            classes = [*filtered(n, "poloid", up_to_iso=True),
+                       *filtered(n, "right_poloid", up_to_iso=True)]
+            for p in classes:
+                for q in classes:
+                    for f in maps_of(range(n), repeat=n):
+                        m = Morphism(p, q, f)
+                        expected = two_way(m)
+                        assert is_isomorphism(m) == expected, (p, q, f)
+                        checked += 1
+                        isos += expected
+        assert checked == 52600 and isos > 0
+
 
 class TestFindIsomorphism:
     def test_z2_to_itself(self):
@@ -209,10 +245,15 @@ class TestFindIsomorphism:
         # oracle: try every permutation directly.  All pairs of the first
         # 40 two-element tables, then, at three elements where the unit
         # flags of the profiles start to prune, every 997th table against
-        # its six relabellings and the next sampled table
+        # its six relabellings and the next sampled table; then, where
+        # products land on later elements and so are checked after both
+        # factors are placed, every poloid and right-poloid class on four
+        # elements and every poloid class on five, each against a seeded
+        # relabelling and the next class of its size
+        import random
         from itertools import islice
 
-        from poloids.enumeration import all_magmas
+        from poloids.enumeration import all_magmas, filtered
 
         def brute_force(p, q):
             n = p.size
@@ -240,6 +281,15 @@ class TestFindIsomorphism:
             pairs += [(p, relabelled(p, perm)) for perm in permutations(range(3))]
             pairs.append((p, sample[(i + 1) % len(sample)]))
         assert len(pairs) == 1600 + 1841
+        rng = random.Random(19)
+        for classes in ([*filtered(4, "poloid", up_to_iso=True),
+                         *filtered(4, "right_poloid", up_to_iso=True)],
+                        list(filtered(5, "poloid", up_to_iso=True))):
+            for i, p in enumerate(classes):
+                perm = list(range(p.size))
+                rng.shuffle(perm)
+                pairs += [(p, relabelled(p, perm)), (p, classes[(i + 1) % len(classes)])]
+        assert len(pairs) == 1600 + 1841 + 2 * (55 + 268 + 329)
         for p, q in pairs:
             expected = brute_force(p, q)
             found = find_isomorphism(p, q)
