@@ -86,23 +86,25 @@ def cmd_enumerate(args) -> int:
         for name in VERDICT_NAMES:
             print(f"{name}: {counts[name]}")
         return EXIT_OK
-    if args.emit:
-        found = list(found)
-        _emit(found, args.emit)  # before the count, which claims the files
-        print(f"{label}: {len(found)}")
+    if args.emit:  # the files are written before the count that claims them
+        print(f"{label}: {_emit(found, args.emit)}")
     else:  # count the stream without holding it
         print(f"{label}: {sum(1 for _ in found)}")
     return EXIT_OK
 
 
-def _emit(found, directory: str) -> None:
+def _emit(found, directory: str) -> int:
     out = Path(directory)
+    if out.is_dir() and any(out.iterdir()):  # refused before the walk: files == count
+        raise OSError(f"{directory}: directory not empty")
+    found = list(found)
     out.mkdir(parents=True, exist_ok=True)
     width = max(6, len(str(len(found))))
     for i, m in enumerate(found):
         (out / f"magma_{i:0{width}d}.magma").write_text(
             tables.serialize_magma(m), encoding="utf-8"
         )
+    return len(found)
 
 
 def cmd_compose(args) -> int:
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"generated directly (up to {enumeration.ISO_BOUND} elements with "
                         f"--filter, {enumeration.RAW_BOUND} without a triple law to prune on: "
                         "no filter or --filter total)")
-    p.add_argument("--emit", metavar="DIR", help="write the matching structures here")
+    p.add_argument("--emit", metavar="DIR", help="write the matches into DIR, new or empty")
 
     p = sub.add_parser("compose", help="compose two maps from a map-magma file")
     p.add_argument("path")

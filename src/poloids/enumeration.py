@@ -25,18 +25,20 @@ as a law the requested class implies is definitely broken:
   group): xy = xz or yx = zx forces y = z, so a defined value appears at
   most once in each row and each column.
 
-Only the triples that read the newly assigned cell k = (a, b) are
-checked.  Those where k is xy or yz, (a, b, t) and (t, a, b), are
-listed once per walk, keeping only the ones whose other cell is already
-chosen; those where k is (xy)z or x(yz) are found through the cells
-already holding a and b, which the walk keeps per value.  Rows complete
-in order, so the left-unit status of rows 0..r is final once row r is,
-and so are the cells of those rows: a unit clash among them stays, and a
-row with no unit among them can gain one only from a column l > r that
-holds x.  Each drop is thus a failure of the right-poloid fact ``phi``
-(or of cancellation) that no later cell can repair, and every class the
-prune serves implies that fact.  The survivors are still run through the
-real checkers.
+A triple (x, y, z) can be definitely broken only once its xy and yz
+cells are chosen, and then only through its (xy)z and x(yz) cells: it is
+checked at the later of its xy and yz cells and at those two where later
+still.  Cell k = (a, b) lists the triples it completes as xy or yz,
+(a, b, t) and (t, a, b), once per walk; once it holds a defined v, each
+(a, b, t) waits on its (xy)z cell (v, t) and each (t, a, b) on its x(yz)
+cell (t, v), past both its xy and yz cells, until the walk takes k back.
+Rows complete in order, so the left-unit status of rows 0..r is final
+once row r is, and so are the cells of those rows: a unit clash among
+them stays, and a row with no unit among them can gain one only from a
+column l > r that holds x.  Each drop is thus a failure of the
+right-poloid fact ``phi`` (or of cancellation) that no later cell can
+repair, and every class the prune serves implies that fact.  The
+survivors are still run through the real checkers.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
@@ -168,53 +170,43 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
     cells = n * n
     values = [-1] * cells  # -1: not yet chosen
-    holders = [[] for _ in range(n + 1)]  # holders[v]: the chosen cells holding v
-    # readers[k]: the triples (a, b, t) and (t, a, b) through cell k = (a, b)
-    # whose xy and yz cells are both chosen once k is, as (xy, yz, x*n, z)
+    # readers[k]: the triples checked once cell k is chosen, as (xy, yz, x*n, z)
+    # cells: those k = (a, b) completes, (a, b, t) and (t, a, b), then those waiting on k
     readers = [
         [(k, b * n + t, a * n, t) for t in range(n) if b * n + t <= k]
         + [(t * n + a, k, t * n, b) for t in range(n) if t * n + a <= k]
         for k in range(cells) for a, b in [divmod(k, n)]
     ]
+    # waits[k][v]: (readers list, triple) for the triples set waiting on a later
+    # cell once k = (a, b) holds v: (a, b, t) on (v, t) and (t, a, b) on (t, v)
+    waits = [
+        [[(readers[w], r) for t in range(n)
+          for w, r in ((v * n + t, (k, b * n + t, a * n, t)),
+                       (t * n + v, (t * n + a, k, t * n, b)))
+          if w > max(r[0], r[1])] for v in range(n)] + [[]]
+        for k in range(cells) for a, b in [divmod(k, n)]
+    ] if pruned else [[[]] * (n + 1)] * cells
     # buckets[k]: the tied relabellings (source, image, p) whose comparison
     # stopped at position p, where cell max(p, source[p]) = k is unchosen
     buckets = [[] for _ in range(cells)]
     for source, image in _relabellings(n) if up_to_iso else ():
         buckets[source[0]].append((source, image, 0))
-    trail = []  # the buckets appended to, popped in reverse on undo
+    trail = []  # the readers and buckets lists appended to, popped in reverse on undo
     left = [False] * n  # left[r]: complete row r holds only r.y = y or undefined
 
-    def broken(i: int, j: int, xn: int, z: int) -> bool:
-        """Definite triple-law violation at (x, y, z), with xy at cell i
-        and yz at cell j; only violations no later choice can repair
-        count.  The one-sided law is triggered by xy with yz or (xy)z
-        defined; the two-sided law also by yz and x(yz) defined."""
-        xy, yz = values[i], values[j]
-        if xy == n:
-            return two_sided and 0 <= yz < n and 0 <= values[xn + yz] < n
-        if xy < 0:
-            return False
-        wz = values[xy * n + z]
-        if yz == n:
-            return 0 <= wz < n  # (xy)z defined forces yz defined
-        if yz < 0:
-            return False
-        xv = values[xn + yz]
-        return wz == n or xv == n or (wz >= 0 and xv >= 0 and wz != xv)
-
-    def cell_broken(k: int, a: int, b: int) -> bool:
-        """A violation among the triples that read cell k = (a, b); the
-        parent node had none.  Cell k is xy in (a, b, t), yz in
-        (t, a, b), (xy)z in (x, y, b) with xy = a and x(yz) in (a, y, z)
-        with yz = b."""
+    def cell_broken(k: int) -> bool:
+        """A violation no later choice can repair among the triples that
+        read cell k, whose xy and yz cells are chosen; the parent had none."""
         for i, j, xn, z in readers[k]:
-            if broken(i, j, xn, z):
-                return True
-        for c in holders[a]:
-            if broken(c, c % n * n + b, c - c % n, b):
-                return True
-        for c in holders[b]:
-            if broken(a * n + c // n, c, a * n, c % n):
+            xy, yz = values[i], values[j]
+            if xy == n:  # two-sided: yz and x(yz) defined force xy defined
+                fails = two_sided and yz < n and 0 <= values[xn + yz] < n
+            elif yz == n:  # (xy)z defined forces yz defined
+                fails = 0 <= values[xy * n + z] < n
+            else:  # xy and yz defined force (xy)z = x(yz), both defined
+                wz, xv = values[xy * n + z], values[xn + yz]
+                fails = wz == n or xv == n or wz != xv and wz >= 0 and xv >= 0
+            if fails:
                 return True
         return False
 
@@ -257,7 +249,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
                 w = max(p, source[p])
                 if w > k:
                     buckets[w].append((source, image, p))
-                    trail.append(w)
+                    trail.append(buckets[w])
                     break
         return True
 
@@ -275,14 +267,16 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
             values[k] = v
             if cancels and v < n and (v in values[k - y:k] or v in values[y:k:n]):
                 continue  # xy = xz or yx = zx forces y = z
-            holders[v].append(k)
-            if not (pruned and cell_broken(k, x, y) or row_done and phi_broken(x)):
-                mark = len(trail)
-                if still_least(k):
-                    yield from walk(k + 1)
-                while len(trail) > mark:
-                    buckets[trail.pop()].pop()
-            holders[v].pop()
+            if pruned and cell_broken(k) or row_done and phi_broken(x):
+                continue
+            mark = len(trail)
+            for waiting, triple in waits[k][v]:
+                waiting.append(triple)
+                trail.append(waiting)
+            if still_least(k):
+                yield from walk(k + 1)
+            while len(trail) > mark:
+                trail.pop().pop()
         values[k] = -1
 
     yield from walk(0)

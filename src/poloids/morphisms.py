@@ -137,7 +137,11 @@ def image_poloid(m: Morphism) -> PartialMagma:
 
 def is_isomorphism(m: Morphism) -> bool:
     """Bijective, and a homomorphism in both directions: the inverse of a
-    bijective homomorphism is one exactly when the map reflects definedness."""
+    bijective homomorphism is one exactly when the map reflects definedness.
+    Between poloids it always does, as a functor bijective on arrows is an
+    isomorphism: xy is defined exactly when vareps_x = eps_y (xe, ey defined
+    make xy defined), and f carries vareps_x, eps_y to vareps_f(x), eps_f(y),
+    so f(x)f(y) defined pulls back by injectivity.  Off poloids it may not."""
     if m.source.size != m.target.size or len(set(m.mapping)) != m.source.size:
         return False
     src, tgt = _Analysis(m.source), _Analysis(m.target)

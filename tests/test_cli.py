@@ -336,6 +336,24 @@ class TestEnumerate:
         blocker.write_text("")
         assert main(["enumerate", "-n", "1", "--emit", str(blocker)]) == 2
         assert capsys.readouterr().out == ""
+        # a directory an earlier emit filled is refused before the walk:
+        # nothing is printed or written, and its files stay as they were
+        all_dir = tmp_path / "all"
+        assert main(["enumerate", "-n", "2", "--emit", str(all_dir)]) == 0
+        capsys.readouterr()
+        before = {f.name: f.read_text() for f in all_dir.iterdir()}
+        code = main(["enumerate", "-n", "2", "--filter", "group", "--up-to-iso",
+                     "--emit", str(all_dir)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert {f.name: f.read_text() for f in all_dir.iterdir()} == before
+        assert len(before) == 80
+        # an empty directory is taken
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["enumerate", "-n", "2", "--filter", "group", "--emit", str(empty)]) == 0
+        assert capsys.readouterr().out == "group: 2\n"
+        assert len(list(empty.iterdir())) == 2
 
     def test_emit_without_filter(self, tmp_path, capsys):
         # the one request that writes out all_magmas

@@ -81,6 +81,27 @@ class TestFiltered:
             assert labelled_at_four[name][0] == labelled, name
             assert len(labelled_at_four[name][1]) == classes, name
 
+    @pytest.mark.parametrize("name, n, up_to_iso, yielded", [
+        ("semigroupoid", 3, False, 276), ("semigroupoid", 4, True, 448),
+        ("right_directed_semigroupoid", 3, False, 681),
+        ("right_directed_semigroupoid", 4, True, 2246),
+        ("right_poloid", 3, False, 161), ("right_poloid", 4, False, 5039),
+        ("right_poloid", 4, True, 268),
+    ])
+    def test_every_leaf_is_yielded(self, monkeypatch, name, n, up_to_iso, yielded):
+        # every triple is checked by the time its last cell is set, so each
+        # leaf of a triple-law walk obeys the triple laws; with phi_x also
+        # checked exactly, each leaf of the right_poloid walk is a right
+        # poloid, so matches never refuses one
+        module = importlib.import_module("poloids.enumeration")
+        built = []
+        real = module.from_flat
+        monkeypatch.setattr(
+            module, "from_flat", lambda flat, size: built.append(flat) or real(flat, size)
+        )
+        found = list(filtered(n, name, up_to_iso=up_to_iso))
+        assert len(found) == len(built) == yielded
+
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             next(filtered(2, "flock"))
@@ -181,21 +202,6 @@ class TestRightUnitPrune:
         for name in self.RIGHT_POLOID_CLASSES:
             found = list(filtered(4, name, up_to_iso=True))
             assert found == [m for m in directed if matches(m, name)], name
-
-    @pytest.mark.parametrize("n, up_to_iso, yielded", [
-        (3, False, 161), (4, False, 5039), (4, True, 268),
-    ])
-    def test_every_right_poloid_leaf_is_yielded(self, monkeypatch, n, up_to_iso, yielded):
-        # with phi_x checked exactly, every leaf of the right_poloid walk
-        # is a right poloid, so matches never refuses one
-        module = importlib.import_module("poloids.enumeration")
-        built = []
-        real = module.from_flat
-        monkeypatch.setattr(
-            module, "from_flat", lambda flat, size: built.append(flat) or real(flat, size)
-        )
-        found = list(filtered(n, "right_poloid", up_to_iso=up_to_iso))
-        assert len(found) == len(built) == yielded
 
 
 class TestUpToIsomorphism:

@@ -215,6 +215,27 @@ class TestIsomorphism:
         assert checked == 52600 and isos > 0
 
 
+    def test_bijective_homomorphism_between_poloids_reflects(self):
+        # a functor bijective on arrows is an isomorphism: between poloids
+        # xy is defined exactly when vareps_x = eps_y, and a homomorphism
+        # carries the effective units along, so a bijective one reflects
+        # definedness; every bijection between the poloid classes on 1-4
+        # elements
+        from poloids.enumeration import filtered
+
+        homs = 0
+        for n in range(1, 5):
+            classes = [(p, _Analysis(p)) for p in filtered(n, "poloid", up_to_iso=True)]
+            for p, src in classes:
+                for q, tgt in classes:
+                    for f in permutations(range(n)):
+                        m = Morphism(p, q, f)
+                        if morphisms._homomorphism(m, src, tgt):
+                            assert reflects_definedness(m) is True, (p, q, f)
+                            homs += 1
+        assert homs == 139
+
+
 class TestFindIsomorphism:
     def test_z2_to_itself(self):
         iso = find_isomorphism(z2(), z2())
