@@ -37,8 +37,19 @@ once row r is, and so are the cells of those rows: a unit clash among
 them stays, and a row with no unit among them can gain one only from a
 column l > r that holds x.  Each drop is thus a failure of the
 right-poloid fact ``phi`` (or of cancellation) that no later cell can
-repair, and every class the prune serves implies that fact.  The
-survivors are still run through the real checkers.
+repair, and every class the prune serves implies that fact.
+
+For four classes these prunes are the whole definition, so the walk
+trusts its leaves and yields them without a checker: ``total`` (every
+cell defined), ``right_directed_semigroupoid`` (the one-sided triple
+law), ``semigroupoid`` (both triple laws) and ``right_poloid`` (the
+one-sided law and exactly one phi_x per x).  Every triple is checked by
+the time its last cell is set and every row's phi_x once the row is
+complete, so each leaf obeys each of those laws.  The other classes ask
+for more (effective units, inverses, normality, a unit poset), so each
+of their leaves still goes through :func:`matches`.  A leaf is a table
+the walk built from valid cells, so it is made by :func:`from_flat`
+without the constructor's check, as are the tables of ``all_magmas``.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
@@ -66,7 +77,7 @@ from typing import Iterator
 
 from .classify import VERDICT_NAMES, _Analysis, classify
 from .errors import BoundExceeded
-from .tables import PartialMagma
+from .tables import PartialMagma, _built
 
 ELEMENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 
@@ -86,6 +97,10 @@ _RIGHT_POLOID_CLASSES = frozenset(
 _TOTAL_CLASSES = frozenset({"total", "monoid", "group"})
 # ... always groupoids, so cancellative: xy = xz or yx = zx forces y = z
 _CANCELLATIVE_CLASSES = frozenset({"groupoid", "group"})
+# classes defined by the prunes above alone, so every leaf of their walk is a member
+_EXACT_CLASSES = frozenset(
+    {"semigroupoid", "right_directed_semigroupoid", "right_poloid", "total"}
+)
 
 
 def matches(m: PartialMagma, verdict: str) -> bool:
@@ -100,10 +115,16 @@ def matches(m: PartialMagma, verdict: str) -> bool:
 
 
 def from_flat(flat, n: int) -> PartialMagma:
-    table = tuple(
-        tuple(v if v < n else None for v in flat[i * n:(i + 1) * n]) for i in range(n)
-    )
-    return PartialMagma(ELEMENT_NAMES[:n], table)
+    """The table on the first n of ``ELEMENT_NAMES`` whose flat encoding
+    is ``flat``, built without the constructor's check.
+
+    Precondition, which nothing here verifies: ``flat`` holds n*n ints
+    in ``range(n + 1)``, not all of them n, as every leaf of
+    :func:`filtered` does.  Check a table from anywhere else with
+    ``PartialMagma``.
+    """
+    cells = tuple(map((*range(n), None).__getitem__, flat))
+    return _built(ELEMENT_NAMES[:n], tuple([cells[i:i + n] for i in range(0, n * n, n)]))
 
 
 def to_flat(m: PartialMagma) -> tuple[int, ...]:
@@ -116,7 +137,8 @@ def all_magmas(n: int) -> Iterator[PartialMagma]:
 
     Tables are generated row by row, as n-tuples of rows over
     ``0..n-1`` and then ``None``, which is the order of the flat
-    encoding; the all-undefined table, the last one, is skipped.
+    encoding; the all-undefined table, the last one, is skipped.  Every
+    table is valid by construction, so none is checked again.
     """
     if not 1 <= n <= RAW_BOUND:
         raise BoundExceeded(f"raw enumeration supports 1..{RAW_BOUND} elements, got {n}")
@@ -125,15 +147,16 @@ def all_magmas(n: int) -> Iterator[PartialMagma]:
     empty = (rows[-1],) * n
     for table in iproduct(rows, repeat=n):
         if table != empty:
-            yield PartialMagma(names, table)
+            yield _built(names, table)
 
 
 @cache
-def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Every relabelling but the identity, as (source, image).
+def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every relabelling but the identity, as (source, image, block).
 
     The relabelled table pi(T) holds ``image[T[source[p]]]`` at flat
-    position p.
+    position p, which is known once cells p and source[p] are chosen,
+    the later of them being ``block[p] = max(p, source[p])``.
     """
     cells = range(n * n)
     found = []
@@ -142,7 +165,8 @@ def _relabellings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
         for old, new in enumerate(perm):
             inv[new] = old
         source = tuple(inv[p // n] * n + inv[p % n] for p in cells)
-        found.append((source, perm + (n,)))
+        block = tuple(max(p, s) for p, s in enumerate(source))
+        found.append((source, perm + (n,), block))
     return tuple(found)
 
 
@@ -167,6 +191,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     two_sided = verdict in _SEMIGROUPOID_CLASSES
     right_unit = verdict in _RIGHT_POLOID_CLASSES
     cancels = verdict in _CANCELLATIVE_CLASSES
+    trusted = verdict is None or verdict in _EXACT_CLASSES  # every leaf is a member
     choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
     cells = n * n
     values = [-1] * cells  # -1: not yet chosen
@@ -186,11 +211,11 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
           if w > max(r[0], r[1])] for v in range(n)] + [[]]
         for k in range(cells) for a, b in [divmod(k, n)]
     ] if pruned else [[[]] * (n + 1)] * cells
-    # buckets[k]: the tied relabellings (source, image, p) whose comparison
-    # stopped at position p, where cell max(p, source[p]) = k is unchosen
+    # buckets[k]: the tied relabellings (source, image, block, p) whose
+    # comparison stopped at position p, where cell block[p] = k is unchosen
     buckets = [[] for _ in range(cells)]
-    for source, image in _relabellings(n) if up_to_iso else ():
-        buckets[source[0]].append((source, image, 0))
+    for source, image, block in _relabellings(n) if up_to_iso else ():
+        buckets[block[0]].append((source, image, block, 0))
     trail = []  # the readers and buckets lists appended to, popped in reverse on undo
     left = [False] * n  # left[r]: complete row r holds only r.y = y or undefined
 
@@ -236,7 +261,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         automorphism of the finished T and leaves too, so the |Aut(T)| - 1
         relabellings that leave at a leaf are where an orbit-weighted
         count would read its weight n!/|Aut(T)|."""
-        for source, image, p in buckets[k]:
+        for source, image, block, p in buckets[k]:
             while True:
                 t, u = values[p], image[values[source[p]]]
                 if u != t:
@@ -246,9 +271,9 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
                 p += 1
                 if p == cells:
                     break
-                w = max(p, source[p])
+                w = block[p]
                 if w > k:
-                    buckets[w].append((source, image, p))
+                    buckets[w].append((source, image, block, p))
                     trail.append(buckets[w])
                     break
         return True
@@ -258,7 +283,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
             if all(v == n for v in values):
                 return
             m = from_flat(tuple(values), n)
-            if verdict is None or matches(m, verdict):
+            if trusted or matches(m, verdict):
                 yield m
             return
         x, y = divmod(k, n)
@@ -304,4 +329,4 @@ def canonical_form(m: PartialMagma) -> tuple[int, ...]:
     """The least relabelling of the flat table over all carrier permutations."""
     flat = to_flat(m)
     return min([flat] + [tuple(image[flat[s]] for s in source)
-                         for source, image in _relabellings(m.size)])
+                         for source, image, _ in _relabellings(m.size)])

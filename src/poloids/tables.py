@@ -14,7 +14,12 @@ freely between concurrent tasks; every function here is pure.
 and cell of every table it is given, and each distinct carrier once (the
 last 256 carriers that passed are remembered; one that failed is checked
 again every time).  :func:`parse_magma` checks the layout and reports
-those as ``ParseError``.
+those as ``ParseError``.  Every table from outside the package goes
+through that constructor.  The one exception is :func:`_built`, which
+sets the two fields and checks nothing: it is for tables the package
+itself made valid by construction (the enumeration's tables and the
+leaves of its walk), whose cells are indices or ``None`` by the way they
+were generated, on a carrier the constructor would accept.
 """
 
 from __future__ import annotations
@@ -153,6 +158,23 @@ class PartialMagma:
             return self.elements.index(name)
         except ValueError:
             raise KeyError(f"unknown element {name!r}") from None
+
+
+def _built(elements: tuple[str, ...], table: tuple[tuple[int | None, ...], ...]) -> PartialMagma:
+    """The magma on ``elements`` and ``table``, built without a check.
+
+    Precondition, which nothing here verifies: ``elements`` is a tuple
+    the constructor accepts, and ``table`` is a tuple of ``len(elements)``
+    row tuples of that length, each cell an ``int`` index into
+    ``elements`` or ``None``, at least one of them defined.  The result
+    is then equal, hash-equal and ``repr``-equal to
+    ``PartialMagma(elements, table)``.
+    """
+    m = object.__new__(PartialMagma)
+    fields = m.__dict__  # a frozen dataclass's fields live here
+    fields["elements"] = elements
+    fields["table"] = table
+    return m
 
 
 def product(m: PartialMagma, x: int, y: int) -> int | None:

@@ -53,6 +53,42 @@ class TestFlatCodec:
             assert from_flat(to_flat(m), 2) == m
 
 
+def assert_as_constructed(m):
+    """m is the value the checking constructor makes of its fields."""
+    checked = PartialMagma(m.elements, m.table)
+    assert m == checked
+    assert hash(m) == hash(checked)
+    assert repr(m) == repr(checked)
+
+
+class TestUncheckedTables:
+    # the package's own tables skip the constructor's check; they must be
+    # the very values the constructor would have made
+
+    def test_every_raw_table(self):
+        for n in (1, 2):
+            for m in all_magmas(n):
+                assert_as_constructed(m)
+
+    @pytest.mark.parametrize("up_to_iso", [False, True])
+    def test_every_leaf_at_three_elements(self, up_to_iso):
+        for name in VERDICT_NAMES:
+            for m in filtered(3, name, up_to_iso=up_to_iso):
+                assert_as_constructed(m)
+
+    def test_the_constructor_is_not_run(self, monkeypatch):
+        checks = []
+        real = PartialMagma.__post_init__
+        monkeypatch.setattr(
+            PartialMagma, "__post_init__", lambda m: checks.append(m) or real(m)
+        )
+        count_by_class(2)
+        list(filtered(3, "poloid"))
+        assert checks == []
+        PartialMagma(("a",), ((0,),))  # the spy sees a table from outside
+        assert len(checks) == 1
+
+
 class TestFiltered:
     def test_agrees_with_brute_force_at_two_elements(self):
         brute = {}
@@ -82,6 +118,7 @@ class TestFiltered:
             assert len(labelled_at_four[name][1]) == classes, name
 
     @pytest.mark.parametrize("name, n, up_to_iso, yielded", [
+        ("total", 2, False, 16),
         ("semigroupoid", 3, False, 276), ("semigroupoid", 4, True, 448),
         ("right_directed_semigroupoid", 3, False, 681),
         ("right_directed_semigroupoid", 4, True, 2246),
@@ -92,15 +129,23 @@ class TestFiltered:
         # every triple is checked by the time its last cell is set, so each
         # leaf of a triple-law walk obeys the triple laws; with phi_x also
         # checked exactly, each leaf of the right_poloid walk is a right
-        # poloid, so matches never refuses one
-        module = importlib.import_module("poloids.enumeration")
-        built = []
-        real = module.from_flat
-        monkeypatch.setattr(
-            module, "from_flat", lambda flat, size: built.append(flat) or real(flat, size)
-        )
+        # poloid, and the total walk never tries an undefined cell; so the
+        # walk yields these leaves unchecked, and the checkers agree
+        built, checked = spy_on_leaves(monkeypatch)
         found = list(filtered(n, name, up_to_iso=up_to_iso))
         assert len(found) == len(built) == yielded
+        assert checked == []
+        for m in found:
+            assert matches(m, name)
+            assert classify(m).verdicts[name]
+
+    def test_other_classes_check_every_leaf(self, monkeypatch):
+        # the poloid walk has no prune for the effective units, so 31 of
+        # its 86 leaves on four elements up to isomorphism are refused
+        built, checked = spy_on_leaves(monkeypatch)
+        found = list(filtered(4, "poloid", up_to_iso=True))
+        assert len(built) == len(checked) == 86
+        assert len(found) == 55
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
@@ -360,6 +405,20 @@ def labelled_at_four():
 def poloids_at_five():
     """The poloid walk on five elements up to isomorphism."""
     return list(filtered(5, "poloid", up_to_iso=True))
+
+
+def spy_on_leaves(monkeypatch):
+    """Record the flat leaves the walk builds and the magmas it checks."""
+    module = importlib.import_module("poloids.enumeration")
+    built, checked = [], []
+    real_build, real_check = module.from_flat, module.matches
+    monkeypatch.setattr(
+        module, "from_flat", lambda flat, size: built.append(flat) or real_build(flat, size)
+    )
+    monkeypatch.setattr(
+        module, "matches", lambda m, name: checked.append(m) or real_check(m, name)
+    )
+    return built, checked
 
 
 def automorphisms(m) -> int:
