@@ -22,7 +22,7 @@ A right poloid is the same thing as a small (left) constellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .tables import PartialMagma, Witness, _fact, left_units, right_units
@@ -378,45 +378,22 @@ def initial_units(m: PartialMagma) -> tuple[int, ...]:
 class ClassReport:
     """Everything classify() found out about one partial magma.
 
-    ``witnesses`` pairs each failed verdict with a counterexample.  The
-    units and the maps are read off the same analysis on first access,
-    so a caller that reads only verdicts never computes them.
+    ``witnesses`` pairs each failed verdict with a counterexample.
     ``eps``/``vareps`` are present exactly when the magma is a poloid,
-    ``phi`` when it is a right poloid, ``inverses`` when a groupoid.
+    ``phi`` when it is a right poloid, ``inverses`` when a groupoid;
+    each is ``None`` otherwise.
     """
 
     magma: PartialMagma
     verdicts: dict[str, bool]
     witnesses: tuple[tuple[str, Witness], ...]
-    _analysis: _Analysis = field(repr=False, compare=False)
-
-    @property
-    def units(self) -> tuple[int, ...]:
-        return self._analysis.units
-
-    @property
-    def left_units(self) -> tuple[int, ...]:
-        return self._analysis.lefts
-
-    @property
-    def right_units(self) -> tuple[int, ...]:
-        return self._analysis.rights
-
-    @property
-    def eps(self) -> tuple[int, ...] | None:
-        return self._analysis.unit_maps[0] if self.verdicts["poloid"] else None
-
-    @property
-    def vareps(self) -> tuple[int, ...] | None:
-        return self._analysis.unit_maps[1] if self.verdicts["poloid"] else None
-
-    @property
-    def phi(self) -> tuple[int, ...] | None:
-        return self._analysis.phi if self.verdicts["right_poloid"] else None
-
-    @property
-    def inverses(self) -> tuple[int, ...] | None:
-        return self._analysis.inverses if self.verdicts["groupoid"] else None
+    units: tuple[int, ...]
+    left_units: tuple[int, ...]
+    right_units: tuple[int, ...]
+    eps: tuple[int, ...] | None
+    vareps: tuple[int, ...] | None
+    phi: tuple[int, ...] | None
+    inverses: tuple[int, ...] | None
 
     def witness_for(self, verdict: str) -> Witness | None:
         for name, w in self.witnesses:
@@ -467,8 +444,8 @@ class ClassReport:
 
 
 def classify(m: PartialMagma) -> ClassReport:
-    """Read every verdict off one analysis of the magma; the report reads
-    its data off the same analysis when asked."""
+    """Read every verdict off one analysis of the magma, then fill the
+    report's units and maps from that same analysis."""
     a = _Analysis(m)
     verdicts: dict[str, bool] = {}
     witnesses: list[tuple[str, Witness]] = []
@@ -477,4 +454,9 @@ def classify(m: PartialMagma) -> ClassReport:
         verdicts[name] = result is True
         if result is not True:
             witnesses.append((name, result))
-    return ClassReport(m, verdicts, tuple(witnesses), a)
+    eps, vareps = a.unit_maps if verdicts["poloid"] else (None, None)
+    return ClassReport(
+        m, verdicts, tuple(witnesses), a.units, a.lefts, a.rights, eps, vareps,
+        a.phi if verdicts["right_poloid"] else None,
+        a.inverses if verdicts["groupoid"] else None,
+    )

@@ -34,7 +34,7 @@ EXIT_INTERNAL = 4
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -95,8 +95,9 @@ def cmd_enumerate(args) -> int:
 
 def _emit(found, directory: str) -> int:
     out = Path(directory)
-    if out.is_dir() and any(out.iterdir()):  # refused before the walk: files == count
-        raise OSError(f"{directory}: directory not empty")
+    # refused before the walk, so that the files written are the count
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise OSError(f"{directory}: not a new or empty directory")
     found = list(found)
     out.mkdir(parents=True, exist_ok=True)
     width = max(6, len(str(len(found))))

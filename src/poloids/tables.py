@@ -10,22 +10,20 @@ operand), or ``None``.
 All values are immutable after construction, so they can be shared
 freely between concurrent tasks; every function here is pure.
 
-:class:`PartialMagma` checks every rule on names and cells: every row
-and cell of every table it is given, and each distinct carrier once (the
-last 256 carriers that passed are remembered; one that failed is checked
-again every time).  :func:`parse_magma` checks the layout and reports
-those as ``ParseError``.  Every table from outside the package goes
-through that constructor.  The one exception is :func:`_built`, which
-sets the two fields and checks nothing: it is for tables the package
-itself made valid by construction (the enumeration's tables and the
-leaves of its walk), whose cells are indices or ``None`` by the way they
-were generated, on a carrier the constructor would accept.
+:class:`PartialMagma` checks every rule on names and cells on every
+construction: the carrier, every row and every cell.  :func:`parse_magma`
+checks the layout and reports those as ``ParseError``.  Every table from
+outside the package goes through that constructor.  The one exception is
+:func:`_built`, which sets the two fields and checks nothing: it is for
+tables the package itself made valid by construction (the enumeration's
+tables and the leaves of its walk), whose cells are indices or ``None``
+by the way they were generated, on a carrier the constructor would
+accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import ParseError
@@ -36,23 +34,6 @@ _TOKEN_FORBIDDEN = set(" \t\r\n\f\v:#")
 
 def _valid_token(tok: str) -> bool:
     return bool(tok) and tok != "-" and _TOKEN_FORBIDDEN.isdisjoint(tok)
-
-
-@lru_cache(maxsize=256)
-def _check_carrier(elements: tuple) -> None:
-    """Raise ``ValueError`` unless the carrier is non-empty, with distinct
-    names that are valid tokens.
-
-    A carrier that passed is not checked again; one that failed raised,
-    and a raise is never cached, so it fails again on every construction.
-    """
-    if not elements:
-        raise ValueError("carrier must be non-empty")
-    if len(set(elements)) != len(elements):
-        raise ValueError("duplicate element names")
-    for name in elements:
-        if not isinstance(name, str) or not _valid_token(name):
-            raise ValueError(f"invalid element name {name!r}")
 
 
 def _is_index(v, n: int) -> bool:
@@ -124,14 +105,17 @@ class PartialMagma:
     table: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        elements, table = self.elements, self.table
-        if type(elements) is not tuple:
-            elements = tuple(elements)
-            object.__setattr__(self, "elements", elements)
-        if type(table) is not tuple or not all(type(row) is tuple for row in table):
-            table = tuple(map(tuple, table))
-            object.__setattr__(self, "table", table)
-        _check_carrier(elements)
+        elements = tuple(self.elements)
+        table = tuple(map(tuple, self.table))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "table", table)
+        if not elements:
+            raise ValueError("carrier must be non-empty")
+        if len(set(elements)) != len(elements):
+            raise ValueError("duplicate element names")
+        for name in elements:
+            if not isinstance(name, str) or not _valid_token(name):
+                raise ValueError(f"invalid element name {name!r}")
         n = len(elements)
         if len(table) != n:
             raise ValueError(f"expected {n} table rows, got {len(table)}")

@@ -22,7 +22,10 @@ from poloids import (
     is_semigroupoid,
     is_total,
     is_unit_posetal,
+    left_units,
     phi_map,
+    right_units,
+    units,
 )
 from poloids.enumeration import all_magmas, matches, to_flat
 from poloids.classify import VERDICT_NAMES, classify
@@ -214,6 +217,9 @@ def view_disagreements(m, report) -> list[str]:
     wrong = [c for c in VERDICT_NAMES if matches(m, c) is not verdicts[c]]
     wrong += [n for n, v in _WITNESS_VIEWS.items() if _outcome(v, m) != ("value", expected(n))]
     wrong += [n for n, v in _BOOL_VIEWS.items() if _outcome(v, m) != ("value", verdicts[n])]
+    for name, view in (("units", units), ("left_units", left_units), ("right_units", right_units)):
+        if view(m) != getattr(report, name):
+            wrong.append(name)
     rp = verdicts["right_poloid"]
     for name, view in _RIGHT_POLOID_VIEWS.items():
         want = ("value", expected(name)) if rp else ("raise", report.witness_for("right_poloid"))

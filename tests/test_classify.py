@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations, permutations
 
 import pytest
@@ -537,6 +538,18 @@ class TestClassifyReport:
         assert {w["verdict"] for w in d["witnesses"]} == {
             name for name, ok in d["verdicts"].items() if not ok
         }
+
+    def test_plain_fields_are_what_to_dict_prints(self):
+        for m in all_magmas(2):
+            r = classify(m)
+            fields, printed = dataclasses.asdict(r), r.to_dict()
+            for key in ("units", "left_units", "right_units"):
+                assert fields[key] == tuple(m.index(x) for x in printed[key])
+            for key in ("eps", "vareps", "phi", "inverses"):
+                shown = printed[key]
+                assert fields[key] == (
+                    None if shown is None else tuple(m.index(shown[x]) for x in m.elements)
+                )
 
 
 class TestOneAnalysis:

@@ -99,6 +99,21 @@ class TestClassify:
         assert main(["classify", write("dup.maps", text)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_utf8_bom_is_dropped(self, tmp_path, capsys):
+        for name, text in (("z2.magma", Z2), ("gap.maps", GAP_MAGMA)):
+            plain, bom = tmp_path / name, tmp_path / ("bom-" + name)
+            plain.write_text(text, encoding="utf-8")
+            bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            assert main(["classify", "--json", str(plain)]) == 0
+            want = capsys.readouterr().out
+            assert main(["classify", "--json", str(bom)]) == 0
+            assert capsys.readouterr().out == want
+        hom = tmp_path / "id.hom"
+        hom.write_bytes(b"\xef\xbb\xbfhom: e -> e\nhom: g -> g\n")
+        z2 = str(tmp_path / "bom-z2.magma")
+        assert main(["check-hom", z2, z2, str(hom)]) == 0
+        assert "homomorphism: yes" in capsys.readouterr().out
+
     def test_non_utf8_file_is_a_parse_failure(self, tmp_path, capsys):
         path = tmp_path / "latin1.magma"
         path.write_bytes("elements: \xe9\n\xe9: \xe9\n".encode("latin-1"))
@@ -318,7 +333,7 @@ class TestEnumerate:
         main(["enumerate", "-n", "2", "--filter", "group", "--up-to-iso"])
         assert "group: 1" in capsys.readouterr().out
 
-    def test_emit(self, tmp_path, capsys):
+    def test_emit(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "out"
         code = main(
             ["enumerate", "-n", "2", "--filter", "group", "--emit", str(out_dir)]
@@ -336,6 +351,20 @@ class TestEnumerate:
         blocker.write_text("")
         assert main(["enumerate", "-n", "1", "--emit", str(blocker)]) == 2
         assert capsys.readouterr().out == ""
+        # and it is refused before the walk: the stream is never iterated
+        pulled = []
+        walk = enumeration.filtered
+
+        def spy(*args, **kwargs):
+            for m in walk(*args, **kwargs):
+                pulled.append(m)
+                yield m
+
+        monkeypatch.setattr(enumeration, "filtered", spy)
+        assert main(["enumerate", "-n", "2", "--emit", str(blocker)]) == 2
+        assert capsys.readouterr().out == "" and pulled == []
+        assert blocker.read_text() == ""
+        monkeypatch.undo()
         # a directory an earlier emit filled is refused before the walk:
         # nothing is printed or written, and its files stay as they were
         all_dir = tmp_path / "all"

@@ -92,8 +92,9 @@ class TestConstruction:
 
 
 class TestCarrierCheckedOnce:
-    # each carrier's names are checked on its first construction only;
-    # none of this may let through a table the constructor rejects
+    # the carrier's names are checked on every construction, however many
+    # carriers came before; none of this may let through a table the
+    # constructor rejects
     BAD_CARRIERS = [
         ((), (), "carrier must be non-empty"),
         (("a", "a"), ((0, 1), (1, 0)), "duplicate element names"),
@@ -125,8 +126,8 @@ class TestCarrierCheckedOnce:
             assert_rejected(*case)
 
     def test_concurrent_constructions_keep_every_verdict(self):
-        # more threads than cores, switching often, over more carriers than
-        # the cache holds: a good carrier always passes, a bad one never does
+        # more threads than cores, switching often, over many carriers:
+        # a good carrier always passes, a bad one never does
         def build(k):
             for i in range(400):
                 PartialMagma((f"t{k}x{i % 300}",), ((0,),))
