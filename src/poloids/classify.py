@@ -22,6 +22,7 @@ A right poloid is the same thing as a small (left) constellation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError
@@ -49,7 +50,8 @@ class _Analysis:
     first witness against it; a data fact (``unit_maps``, ``inverses``,
     ``phi``) is the data or the witness that rules it out.  Witnesses
     are falsy and data is not, so ``data and True`` is the verdict and
-    verdicts chain with ``and``.
+    verdicts chain with ``and``.  ``semigroupoid`` reads the one-sided
+    law and scans only for the one failure that law lacks.
     """
 
     def __init__(self, m: PartialMagma):
@@ -75,27 +77,18 @@ class _Analysis:
                 tuple(e for e in self.units if t[x][e] is not None))
 
     @_fact
-    def triple_laws(self):
-        """(two-sided, one-sided) triple law, each True or its first
-        failing triple.  With xy defined the two laws coincide; with xy
-        undefined only the two-sided one can fail, when yz and x(yz) are
-        defined.  So the first one-sided failure ends the scan."""
+    def right_directed_semigroupoid(self):
+        """One-sided triple law: with xy defined, (xy)z and x(yz) are both
+        undefined, or both defined and equal."""
         t = self.m.table
         n = self.m.size
-        two_sided = True
         for x in range(n):
             tx = t[x]
             for y in range(n):
                 xy = tx[y]
-                ty = t[y]
                 if xy is None:
-                    if two_sided is True:
-                        for z in range(n):
-                            yz = ty[z]
-                            if yz is not None and tx[yz] is not None:
-                                two_sided = Witness("associativity", (x, y, z))
-                                break
                     continue
+                ty = t[y]
                 txy = t[xy]
                 for z in range(n):
                     yz = ty[z]
@@ -105,17 +98,24 @@ class _Analysis:
                             continue
                     elif xy_z is not None and xy_z == tx[yz]:
                         continue
-                    w = Witness("associativity", (x, y, z))
-                    return (w if two_sided is True else two_sided), w
-        return two_sided, True
+                    return Witness("associativity", (x, y, z))
+        return True
 
-    @property
+    @_fact
     def semigroupoid(self):
-        return self.triple_laws[0]
-
-    @property
-    def right_directed_semigroupoid(self):
-        return self.triple_laws[1]
+        """The one-sided law, or x(yz) defined with xy undefined at an
+        earlier cell (x, y) than the one-sided witness's."""
+        one_sided = self.right_directed_semigroupoid
+        t, n = self.m.table, self.m.size
+        end = n * n if one_sided is True else one_sided.elements[0] * n + one_sided.elements[1]
+        for k in range(end):
+            x, y = divmod(k, n)
+            tx = t[x]
+            if tx[y] is None:
+                for z, yz in enumerate(t[y]):
+                    if yz is not None and tx[yz] is not None:
+                        return Witness("associativity", (x, y, z))
+        return one_sided
 
     @_fact
     def unit_maps(self):
@@ -262,7 +262,7 @@ def is_semigroupoid(m: PartialMagma):
     are defined and agree.
 
     The trigger for (x, y, z) is: xy and yz defined, or (xy)z defined,
-    or x(yz) defined.
+    or x(yz) defined, the one trigger the one-sided law lacks.
     """
     return _Analysis(m).semigroupoid
 
@@ -359,19 +359,12 @@ def is_meet_semilattice_on_left_units(m: PartialMagma) -> bool:
 
 
 def initial_units(m: PartialMagma) -> tuple[int, ...]:
-    """Units u such that for every unit e exactly one x has u.x and x.e defined."""
+    """Units u such that for every unit e exactly one x has u.x and x.e
+    defined, which in a poloid means eps_x = u and vareps_x = e."""
     a = _Analysis(m)
-    _require(a.unit_maps, "not a poloid")
-    t = m.table
-    e_set = a.units
-    out = []
-    for u in e_set:
-        if all(
-            sum(1 for x in range(m.size) if t[u][x] is not None and t[x][e] is not None) == 1
-            for e in e_set
-        ):
-            out.append(u)
-    return tuple(out)
+    eps, vareps = _require(a.unit_maps, "not a poloid")
+    homs = Counter(zip(eps, vareps))
+    return tuple(u for u in a.units if all(homs[u, e] == 1 for e in a.units))
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,10 @@ def cmd_enumerate(args) -> int:
 
 def _emit(found, directory: str) -> int:
     out = Path(directory)
-    # refused before the walk, so that the files written are the count
-    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+    # refused before the walk, so that the files written are the count; made
+    # after it, as the walk checks its bound only when first pulled
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir() or (nearest == out and any(out.iterdir())):
         raise OSError(f"{directory}: not a new or empty directory")
     found = list(found)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -297,6 +298,22 @@ class TestInitialUnits:
         with pytest.raises(PreconditionError):
             initial_units(right_zero(2))
 
+    def test_hom_set_sizes_match_the_product_count(self):
+        # the definition, counted over products, is the oracle for the
+        # counts read off the unit maps
+        poloids = [m for n in (1, 2, 3) for m in filtered(n, "poloid")]
+        poloids += [m for n in (4, 5) for m in filtered(n, "poloid", up_to_iso=True)]
+        initial = 0
+        for m in poloids:
+            t, us = m.table, units(m)
+            expected = tuple(u for u in us if all(
+                sum(1 for x in range(m.size) if t[u][x] is not None and t[x][e] is not None) == 1
+                for e in us
+            ))
+            assert initial_units(m) == expected, m.table
+            initial += bool(expected)
+        assert (len(poloids), initial) == (442, 19)
+
 
 class TestPoloidLaws:
     def test_units_are_idempotent(self, poloid_corpus):
@@ -400,6 +417,49 @@ class TestDuality:
         assert len(poloids) == 973
         for m in poloids:
             self.assert_dual(m)
+
+
+class TestTripleLawWitnessOrder:
+    # each law's witness is the first triple in lexicographic order whose
+    # replay shows that law failing, on tables past the three elements of
+    # the golden digest
+    LAWS = ((is_semigroupoid, False), (is_right_directed_semigroupoid, True))
+
+    def assert_first(self, m):
+        t, n = m.table, m.size
+        for check, one_sided in self.LAWS:
+            first = next((
+                Witness("associativity", (x, y, z))
+                for x in range(n) for y in range(n) for z in range(n)
+                if replays_associativity(t, x, y, z, one_sided)
+            ), True)
+            assert check(m) == first, (t, check.__name__)
+
+    def test_every_right_directed_semigroupoid_class_on_four_elements(self):
+        classes = list(filtered(4, "right_directed_semigroupoid", up_to_iso=True))
+        for m in classes:
+            self.assert_first(m)
+        two_sided_fails = sum(1 for m in classes if not is_semigroupoid(m))
+        assert (len(classes), two_sided_fails) == (2246, 1798)
+
+    def test_seeded_random_tables_on_four_to_eight_elements(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(1500):
+            n = rng.randint(4, 8)
+            p = rng.choice((0.5, 0.8, 0.9, 0.95))  # the chance a cell is undefined
+            table = [[None if rng.random() < p else rng.randrange(n) for _ in range(n)]
+                     for _ in range(n)]
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            m = PartialMagma(tuple("abcdefgh"[:n]), tuple(map(tuple, table)))
+            self.assert_first(m)
+            two, one = is_semigroupoid(m), is_right_directed_semigroupoid(m)
+            outcomes.add((two is True, one is True, two == one))
+        # both laws hold, only the two-sided one fails, and both fail at
+        # one triple or the two-sided law at an earlier one
+        assert outcomes == {
+            (True, True, True), (False, True, False), (False, False, True), (False, False, False),
+        }
 
 
 class TestRelabelledTripleLaws:

@@ -364,6 +364,10 @@ class TestEnumerate:
         assert main(["enumerate", "-n", "2", "--emit", str(blocker)]) == 2
         assert capsys.readouterr().out == "" and pulled == []
         assert blocker.read_text() == ""
+        # as is a target under a file, which no mkdir could make
+        assert main(["enumerate", "-n", "2", "--emit", str(blocker / "sub")]) == 2
+        assert capsys.readouterr().out == "" and pulled == []
+        assert blocker.read_text() == ""
         monkeypatch.undo()
         # a directory an earlier emit filled is refused before the walk:
         # nothing is printed or written, and its files stay as they were
