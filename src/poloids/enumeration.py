@@ -47,9 +47,10 @@ one-sided law and exactly one phi_x per x).  Every triple is checked by
 the time its last cell is set and every row's phi_x once the row is
 complete, so each leaf obeys each of those laws.  The other classes ask
 for more (effective units, inverses, normality, a unit poset), so each
-of their leaves still goes through :func:`matches`.  A leaf is a table
-the walk built from valid cells, so it is made by :func:`from_flat`
-without the constructor's check, as are the tables of ``all_magmas``.
+of their leaves still goes through :func:`matches`.  The walk decodes
+each leaf from its flat cells itself, and every cell it chose is an
+index or undefined, so the leaf is built without the constructor's
+check, as are the tables of ``all_magmas``.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
@@ -114,24 +115,6 @@ def matches(m: PartialMagma, verdict: str) -> bool:
     return bool(_Analysis(m).verdict(verdict))
 
 
-def from_flat(flat, n: int) -> PartialMagma:
-    """The table on the first n of ``ELEMENT_NAMES`` whose flat encoding
-    is ``flat``, built without the constructor's check.
-
-    Precondition, which nothing here verifies: ``flat`` holds n*n ints
-    in ``range(n + 1)``, not all of them n, as every leaf of
-    :func:`filtered` does.  Check a table from anywhere else with
-    ``PartialMagma``.
-    """
-    cells = tuple(map((*range(n), None).__getitem__, flat))
-    return _built(ELEMENT_NAMES[:n], tuple([cells[i:i + n] for i in range(0, n * n, n)]))
-
-
-def to_flat(m: PartialMagma) -> tuple[int, ...]:
-    n = m.size
-    return tuple(n if c is None else c for row in m.table for c in row)
-
-
 def all_magmas(n: int) -> Iterator[PartialMagma]:
     """Every partial magma on n elements, in lexicographic table order.
 
@@ -193,6 +176,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     cancels = verdict in _CANCELLATIVE_CLASSES
     trusted = verdict is None or verdict in _EXACT_CLASSES  # every leaf is a member
     choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
+    names, decode = ELEMENT_NAMES[:n], (*range(n), None).__getitem__
     cells = n * n
     values = [-1] * cells  # -1: not yet chosen
     # readers[k]: the triples checked once cell k is chosen, as (xy, yz, x*n, z)
@@ -282,7 +266,8 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         if k == cells:
             if all(v == n for v in values):
                 return
-            m = from_flat(tuple(values), n)
+            flat = tuple(map(decode, values))
+            m = _built(names, tuple([flat[i:i + n] for i in range(0, cells, n)]))
             if trusted or matches(m, verdict):
                 yield m
             return
@@ -327,6 +312,7 @@ def count_by_class(n: int) -> dict[str, int]:
 
 def canonical_form(m: PartialMagma) -> tuple[int, ...]:
     """The least relabelling of the flat table over all carrier permutations."""
-    flat = to_flat(m)
+    n = m.size
+    flat = tuple(n if c is None else c for row in m.table for c in row)
     return min([flat] + [tuple(image[flat[s]] for s in source)
-                         for source, image, _ in _relabellings(m.size)])
+                         for source, image, _ in _relabellings(n)])

@@ -14,11 +14,8 @@ freely between concurrent tasks; every function here is pure.
 construction: the carrier, every row and every cell.  :func:`parse_magma`
 checks the layout and reports those as ``ParseError``.  Every table from
 outside the package goes through that constructor.  The one exception is
-:func:`_built`, which sets the two fields and checks nothing: it is for
-tables the package itself made valid by construction (the enumeration's
-tables and the leaves of its walk), whose cells are indices or ``None``
-by the way they were generated, on a carrier the constructor would
-accept.
+:func:`_built`, which checks nothing, for the tables the enumeration
+makes valid by construction; its docstring states what a caller owes it.
 """
 
 from __future__ import annotations
@@ -62,13 +59,16 @@ def _split_arrow(text: str) -> tuple[str, str, str]:
 
 
 class _fact:
-    """A method run on first read; its value then shadows it on the instance."""
+    """A method run on first read; its value then shadows it on the instance.
+    Read on the class, it is the descriptor itself."""
 
     def __init__(self, method):
         self.method = method
         self.name = method.__name__
 
     def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
         value = obj.__dict__[self.name] = self.method(obj)
         return value
 
@@ -126,8 +126,7 @@ class PartialMagma:
             for cell in row:
                 if cell is None:
                     continue
-                # the inline test is the fast path for plain ints in range
-                if (type(cell) is not int or not 0 <= cell < n) and not _is_index(cell, n):
+                if not _is_index(cell, n):
                     raise ValueError(f"table entry {cell!r} is not an element index")
                 defined += 1
         if defined == 0:

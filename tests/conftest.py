@@ -27,7 +27,7 @@ from poloids import (
     right_units,
     units,
 )
-from poloids.enumeration import all_magmas, matches, to_flat
+from poloids.enumeration import ELEMENT_NAMES, all_magmas, matches
 from poloids.classify import VERDICT_NAMES, classify
 
 
@@ -52,6 +52,19 @@ def magma(names, rows):
         tuple(None if cell is None else index[cell] for cell in row) for row in rows
     )
     return PartialMagma(names, table)
+
+
+def to_flat(m):
+    """The flat encoding: the n*n cells in row-major order, n for undefined."""
+    n = m.size
+    return tuple(n if c is None else c for row in m.table for c in row)
+
+
+def from_flat(flat, n):
+    """The table on the first n of ``ELEMENT_NAMES`` whose flat encoding
+    is ``flat``, through the checking constructor."""
+    cells = [None if c == n else c for c in flat]
+    return PartialMagma(ELEMENT_NAMES[:n], tuple(tuple(cells[i:i + n]) for i in range(0, n * n, n)))
 
 
 def relabel(m, perm):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import random
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -13,12 +14,10 @@ from poloids.enumeration import (
     canonical_form,
     count_by_class,
     filtered,
-    from_flat,
     matches,
-    to_flat,
 )
 
-from conftest import relabel
+from conftest import from_flat, relabel, to_flat
 
 
 class TestAllMagmas:
@@ -49,8 +48,14 @@ class TestAllMagmas:
 
 class TestFlatCodec:
     def test_round_trip(self):
-        for m in all_magmas(2):
-            assert from_flat(to_flat(m), 2) == m
+        # the unpruned walk's leaves are the non-empty flat tables, in
+        # order, each decoded to the table the checking constructor makes
+        for n in (1, 2):
+            empty = (n,) * (n * n)
+            flats = [f for f in product(range(n + 1), repeat=n * n) if f != empty]
+            leaves = list(filtered(n, None))
+            assert [to_flat(m) for m in leaves] == flats
+            assert leaves == [from_flat(f, n) for f in flats]
 
 
 def assert_as_constructed(m):
@@ -72,8 +77,13 @@ class TestUncheckedTables:
 
     @pytest.mark.parametrize("up_to_iso", [False, True])
     def test_every_leaf_at_three_elements(self, up_to_iso):
-        for name in VERDICT_NAMES:
-            for m in filtered(3, name, up_to_iso=up_to_iso):
+        # every verdict class, and the unpruned walk where it is small
+        walks = [filtered(3, name, up_to_iso=up_to_iso) for name in VERDICT_NAMES]
+        walks += [filtered(n, None, up_to_iso=up_to_iso) for n in (1, 2)]
+        if up_to_iso:
+            walks.append(filtered(3, None, up_to_iso=True))  # 43,967 leaves
+        for walk in walks:
+            for m in walk:
                 assert_as_constructed(m)
 
     def test_the_constructor_is_not_run(self, monkeypatch):
@@ -278,6 +288,17 @@ class TestUpToIsomorphism:
             classes = filtered(4, name, up_to_iso=True)
             assert sum(24 // automorphisms(m) for m in classes) == labelled, name
 
+    @pytest.mark.parametrize("n, name, classes, labelled", [
+        (2, None, 44, 3 ** 4 - 1), (2, "total", 10, 2 ** 4), (3, "total", 3330, 3 ** 9),
+    ])
+    def test_orbit_stabilizer_against_the_closed_forms(self, n, name, classes, labelled):
+        # two methods in one run: a class T has n!/|Aut(T)| labelled
+        # members, and the labelled tables number (n+1)^(n*n) - 1 in all
+        # and n^(n*n) total; OEIS A001329 (1, 10, 3330) is a reference only
+        found = list(filtered(n, name, up_to_iso=True))
+        assert len(found) == classes
+        assert sum(factorial(n) // automorphisms(m) for m in found) == labelled
+
     def test_poloids_at_five_elements(self, poloids_at_five):
         # frozen after the labelled walk at five elements (29,221
         # poloids) deduplicated by canonical_form gave the same 329
@@ -408,12 +429,12 @@ def poloids_at_five():
 
 
 def spy_on_leaves(monkeypatch):
-    """Record the flat leaves the walk builds and the magmas it checks."""
+    """Record the leaf tables the walk builds and the magmas it checks."""
     module = importlib.import_module("poloids.enumeration")
     built, checked = [], []
-    real_build, real_check = module.from_flat, module.matches
+    real_build, real_check = module._built, module.matches
     monkeypatch.setattr(
-        module, "from_flat", lambda flat, size: built.append(flat) or real_build(flat, size)
+        module, "_built", lambda names, table: built.append(table) or real_build(names, table)
     )
     monkeypatch.setattr(
         module, "matches", lambda m, name: checked.append(m) or real_check(m, name)

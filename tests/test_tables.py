@@ -19,7 +19,10 @@ from poloids import (
     serialize_magma,
     units,
 )
+from poloids.classify import _Analysis
 from poloids.enumeration import all_magmas
+from poloids.maps import MapMagma, Prefunction
+from poloids.tables import _fact
 
 from conftest import magma, right_zero, trivial_group, two_unit_groupoid, z2
 
@@ -154,6 +157,14 @@ class TestCarrierCheckedOnce:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert sorted(finished) == [0, 1, 2, 3] and failures == []
+
+
+class TestFact:
+    def test_read_on_the_class_is_the_descriptor(self):
+        for owner, name in ((Prefunction, "domain"), (MapMagma, "table"), (_Analysis, "phi")):
+            assert hasattr(owner, name), name
+            assert isinstance(getattr(owner, name), _fact), name
+            assert getattr(owner, name) is owner.__dict__[name]
 
 
 class TestParse:
