@@ -4,8 +4,10 @@ Every fact about a magma (its units and effective units, the two triple
 laws, the unit maps eps and vareps, inverses, phi, normality, the
 natural preorder) is worked out in one place, a private analysis of that
 magma that computes each fact at most once and only when it is first
-read.  The public checkers are views that read one fact from a fresh
-analysis; :func:`classify` reads every fact from a single one.
+read; facts answer and never refuse.  The public checkers are views that
+read one fact from a fresh analysis, :func:`classify` reads every fact
+from a single one, and views refuse: off its domain, a view defined on
+(right) poloids raises ``PreconditionError`` with the fact's witness.
 
 Checkers return ``True`` or a falsy :class:`~poloids.tables.Witness`; the
 witness names the elements whose replay against the table reproduces the
@@ -25,8 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import PreconditionError
-from .tables import PartialMagma, Witness, _fact, left_units, right_units
+from .tables import PartialMagma, Witness, _fact, _require, left_units, right_units
 
 VERDICT_NAMES = (
     "semigroupoid",
@@ -48,10 +49,12 @@ class _Analysis:
 
     A verdict fact (named as in ``VERDICT_NAMES``) is ``True`` or the
     first witness against it; a data fact (``unit_maps``, ``inverses``,
-    ``phi``) is the data or the witness that rules it out.  Witnesses
-    are falsy and data is not, so ``data and True`` is the verdict and
-    verdicts chain with ``and``.  ``semigroupoid`` reads the one-sided
-    law and scans only for the one failure that law lacks.
+    ``phi``, ``preorder``) is the data or the witness that rules it out.
+    Witnesses are falsy and data is not, so ``data and True`` is the
+    verdict and verdicts chain with ``and``.  No fact refuses: off a
+    right poloid, ``normal``, ``preorder`` and ``unit_posetal`` are the
+    ``phi`` witness.  ``semigroupoid`` reads the one-sided law and scans
+    only for the one failure that law lacks.
     """
 
     def __init__(self, m: PartialMagma):
@@ -206,7 +209,8 @@ class _Analysis:
 
     @_fact
     def normal(self):
-        phi = _require(self.phi, "not a right poloid")
+        if not (phi := self.phi):
+            return phi
         t = self.m.table
         for x, px in enumerate(phi):
             for y, py in enumerate(phi):
@@ -215,8 +219,9 @@ class _Analysis:
         return True
 
     @_fact
-    def preorder(self) -> tuple[tuple[bool, ...], ...]:
-        phi = _require(self.phi, "not a right poloid")
+    def preorder(self):
+        if not (phi := self.phi):
+            return phi
         t = self.m.table
         n = self.m.size
         leq = tuple(tuple(t[y][phi[x]] == x for y in range(n)) for x in range(n))
@@ -231,26 +236,14 @@ class _Analysis:
 
     @_fact
     def unit_posetal(self):
-        leq = self.preorder
+        if not (leq := self.preorder):
+            return leq
         lefts = self.lefts
         for a in lefts:
             for b in lefts:
                 if a < b and leq[a][b] and leq[b][a]:
                     return Witness("antisymmetry", (a, b))
         return True
-
-    def verdict(self, name: str):
-        """The named verdict as classify reports it: off a right poloid,
-        normality and unit posetality fail with the right-poloid witness."""
-        if name in ("normal", "unit_posetal") and not self.right_poloid:
-            return self.phi
-        return getattr(self, name)
-
-
-def _require(data, message: str):
-    if isinstance(data, Witness):
-        raise PreconditionError(message, data)
-    return data
 
 
 def is_total(m: PartialMagma) -> bool:
@@ -327,7 +320,8 @@ def phi_map(m: PartialMagma) -> tuple[int, ...]:
 
 def is_normal(m: PartialMagma):
     """Whether phi_x.phi_y and phi_y.phi_x both defined forces phi_x = phi_y."""
-    return _Analysis(m).normal
+    a = _Analysis(m)
+    return _require(a.phi, "not a right poloid") and a.normal
 
 
 def natural_preorder(m: PartialMagma) -> tuple[tuple[bool, ...], ...]:
@@ -335,20 +329,20 @@ def natural_preorder(m: PartialMagma) -> tuple[tuple[bool, ...], ...]:
 
     Reflexive and transitive on every right poloid; both are verified.
     """
-    return _Analysis(m).preorder
+    return _require(_Analysis(m).preorder, "not a right poloid")
 
 
 def is_unit_posetal(m: PartialMagma):
     """Antisymmetry of the natural preorder restricted to left units."""
-    return _Analysis(m).unit_posetal
+    a = _Analysis(m)
+    return _require(a.phi, "not a right poloid") and a.unit_posetal
 
 
 def is_meet_semilattice_on_left_units(m: PartialMagma) -> bool:
     """Whether every pair of left units has a greatest lower bound."""
     a = _Analysis(m)
-    posetal = a.unit_posetal
-    if not posetal:
-        raise PreconditionError("left-unit order is not a partial order", posetal)
+    _require(a.phi, "not a right poloid")
+    _require(a.unit_posetal, "left-unit order is not a partial order")
     leq, lefts = a.preorder, a.lefts
     for x in lefts:
         for y in lefts:
@@ -443,7 +437,7 @@ def classify(m: PartialMagma) -> ClassReport:
     verdicts: dict[str, bool] = {}
     witnesses: list[tuple[str, Witness]] = []
     for name in VERDICT_NAMES:
-        result = a.verdict(name)
+        result = getattr(a, name)
         verdicts[name] = result is True
         if result is not True:
             witnesses.append((name, result))

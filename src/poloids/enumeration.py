@@ -39,18 +39,22 @@ column l > r that holds x.  Each drop is thus a failure of the
 right-poloid fact ``phi`` (or of cancellation) that no later cell can
 repair, and every class the prune serves implies that fact.
 
-For four classes these prunes are the whole definition, so the walk
+For five classes these prunes imply the whole definition, so the walk
 trusts its leaves and yields them without a checker: ``total`` (every
 cell defined), ``right_directed_semigroupoid`` (the one-sided triple
-law), ``semigroupoid`` (both triple laws) and ``right_poloid`` (the
-one-sided law and exactly one phi_x per x).  Every triple is checked by
-the time its last cell is set and every row's phi_x once the row is
-complete, so each leaf obeys each of those laws.  The other classes ask
-for more (effective units, inverses, normality, a unit poset), so each
-of their leaves still goes through :func:`matches`.  The walk decodes
-each leaf from its flat cells itself, and every cell it chose is an
-index or undefined, so the leaf is built without the constructor's
-check, as are the tables of ``all_magmas``.
+law), ``semigroupoid`` (both triple laws), ``right_poloid`` (the
+one-sided law and exactly one phi_x per x) and ``group`` (totality,
+both triple laws and cancellation).  Every triple is checked by the time
+its last cell is set and every row's phi_x once the row is complete, so
+each leaf obeys each of those laws.  A ``group`` leaf is thus a finite
+cancellative semigroup, and that is a group: translations are injective,
+hence onto, so ae = a for some e; cancelling gives ex = x and xe = x;
+and xy = e = zx are solvable, with z = z(xy) = (zx)y = y.  The other
+classes ask for more (effective units, inverses, normality, a unit
+poset), so each of their leaves still goes through :func:`matches`.
+The walk decodes each leaf from its flat cells itself, and every cell
+it chose is an index or undefined, so the leaf is built without the
+constructor's check, as are the tables of ``all_magmas``.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
@@ -100,7 +104,7 @@ _TOTAL_CLASSES = frozenset({"total", "monoid", "group"})
 _CANCELLATIVE_CLASSES = frozenset({"groupoid", "group"})
 # classes defined by the prunes above alone, so every leaf of their walk is a member
 _EXACT_CLASSES = frozenset(
-    {"semigroupoid", "right_directed_semigroupoid", "right_poloid", "total"}
+    {"semigroupoid", "right_directed_semigroupoid", "right_poloid", "total", "group"}
 )
 
 
@@ -112,7 +116,7 @@ def matches(m: PartialMagma, verdict: str) -> bool:
     """
     if verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
-    return bool(_Analysis(m).verdict(verdict))
+    return bool(getattr(_Analysis(m), verdict))
 
 
 def all_magmas(n: int) -> Iterator[PartialMagma]:

@@ -42,7 +42,8 @@ from itertools import product as iproduct
 from typing import Mapping
 
 from .errors import BoundExceeded, ParseError, PreconditionError
-from .tables import PartialMagma, Witness, _content_lines, _fact, _heading, _split_arrow, _valid_token
+from .tables import PartialMagma, Witness, _content_lines, _fact, _heading, _require, _split_arrow
+from .tables import _valid_token
 
 
 class Mode(enum.Enum):
@@ -329,9 +330,7 @@ def is_transformation_semigroupoid(a: MapMagma):
 
 def is_transformation_poloid(a: MapMagma):
     """Whether a closed transformation semigroupoid holds all member identities."""
-    sg = is_transformation_semigroupoid(a)
-    if not sg:
-        raise PreconditionError("not a transformation semigroupoid", sg)
+    _require(is_transformation_semigroupoid(a), "not a transformation semigroupoid")
     return _holds_identities(a, lambda f: (f._dom, f._cod))
 
 
@@ -345,9 +344,7 @@ def is_domain_pretransformation_magma(a: MapMagma):
 def _holds_identities(a: MapMagma, domains):
     """Whether a closed map magma holds, for each member f, an identity member
     (for functions, with codomain its domain) on each of ``domains(f)``."""
-    closed = is_closed(a)
-    if not closed:
-        raise PreconditionError("not closed under composition", closed)
+    _require(is_closed(a), "not closed under composition")
     held = {g._dom for g in a.members if g.is_identity()}
     for i, f in enumerate(a.members):
         if not held.issuperset(domains(f)):

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import _Analysis, _require
-from .errors import BoundExceeded, ParseError, PreconditionError
+from .classify import _Analysis
+from .errors import BoundExceeded, ParseError
 from .maps import OUTSIDE, MapMagma, Mode, as_partial_magma, compose_maps
 from .tables import PartialMagma, Witness, _content_lines, _heading, _is_index, _split_arrow
-from .tables import left_units, right_units
+from .tables import _require, left_units, right_units
 
 ISO_SEARCH_BOUND = 8  # largest carrier find_isomorphism searches
 
@@ -121,12 +121,8 @@ def reflects_definedness(m: Morphism):
 
 def image_poloid(m: Morphism) -> PartialMagma:
     """The induced structure on the image of a reflecting homomorphism."""
-    hom = is_homomorphism(m)
-    if not hom:
-        raise PreconditionError("not a homomorphism", hom)
-    refl = reflects_definedness(m)
-    if not refl:
-        raise PreconditionError("does not reflect definedness", refl)
+    _require(is_homomorphism(m), "not a homomorphism")
+    _require(reflects_definedness(m), "does not reflect definedness")
     result = _restrict(m.target, sorted(set(m.mapping)))
     if not result:
         raise RuntimeError(f"image of a reflecting homomorphism is {result.kind} in the target")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 # Whitespace separates tokens, ':' ends row labels, '#' starts comments.
 _TOKEN_FORBIDDEN = set(" \t\r\n\f\v:#")
@@ -95,6 +95,13 @@ class Witness:
 
     def format(self, names: Sequence[str]) -> str:
         return "%s %s" % (self.kind, ",".join(str(names[i]) for i in self.elements))
+
+
+def _require(data, message: str):
+    """``data``, or ``PreconditionError(message, data)`` if it is a witness."""
+    if isinstance(data, Witness):
+        raise PreconditionError(message, data)
+    return data
 
 
 @dataclass(frozen=True)

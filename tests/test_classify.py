@@ -279,8 +279,11 @@ class TestMeetSemilattice:
         assert result == expected
 
     def test_requires_posetal(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             is_meet_semilattice_on_left_units(right_zero(2))
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "left-unit order is not a partial order"
+        assert exc.value.witness == Witness("antisymmetry", (0, 1))
 
 
 class TestInitialUnits:
@@ -569,6 +572,7 @@ class TestClassifyReport:
         r = classify(z2())
         for name in ("semigroupoid", "poloid", "groupoid", "total", "monoid", "group"):
             assert r.verdicts[name]
+            assert r.witness_for(name) is None
         assert r.inverses == (0, 1)
 
     def test_two_unit_groupoid(self):
@@ -610,6 +614,29 @@ class TestClassifyReport:
                 assert fields[key] == (
                     None if shown is None else tuple(m.index(shown[x]) for x in m.elements)
                 )
+
+
+class TestRefusals:
+    # normality and the natural preorder are defined on right poloids only:
+    # off one, the analysis answers with the right-poloid witness, classify
+    # reports it and the views that need a right poloid refuse with it
+    NOT_RIGHT_POLOID = magma("ab", [[None, "a"], ["b", None]])
+    PHI_WITNESS = Witness("associativity", (0, 1, 0))
+
+    @pytest.mark.parametrize("view", [
+        phi_map, is_normal, is_unit_posetal, natural_preorder, is_meet_semilattice_on_left_units,
+    ])
+    def test_views_need_a_right_poloid(self, view):
+        with pytest.raises(PreconditionError) as exc:
+            view(self.NOT_RIGHT_POLOID)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "not a right poloid"
+        assert exc.value.witness == self.PHI_WITNESS == is_right_poloid(self.NOT_RIGHT_POLOID)
+
+    def test_classify_reports_the_right_poloid_witness(self):
+        r = classify(self.NOT_RIGHT_POLOID)
+        assert r.witness_for("right_poloid") == self.PHI_WITNESS
+        assert r.witness_for("normal") == r.witness_for("unit_posetal") == self.PHI_WITNESS
 
 
 class TestOneAnalysis:

@@ -134,13 +134,15 @@ class TestFiltered:
         ("right_directed_semigroupoid", 4, True, 2246),
         ("right_poloid", 3, False, 161), ("right_poloid", 4, False, 5039),
         ("right_poloid", 4, True, 268),
+        ("group", 4, False, 16), ("group", 5, True, 1),
     ])
     def test_every_leaf_is_yielded(self, monkeypatch, name, n, up_to_iso, yielded):
         # every triple is checked by the time its last cell is set, so each
         # leaf of a triple-law walk obeys the triple laws; with phi_x also
         # checked exactly, each leaf of the right_poloid walk is a right
-        # poloid, and the total walk never tries an undefined cell; so the
-        # walk yields these leaves unchecked, and the checkers agree
+        # poloid, and the total walk never tries an undefined cell; a leaf
+        # of the group walk is a finite cancellative semigroup, so a group;
+        # so the walk yields these leaves unchecked, and the checkers agree
         built, checked = spy_on_leaves(monkeypatch)
         found = list(filtered(n, name, up_to_iso=up_to_iso))
         assert len(found) == len(built) == yielded
@@ -160,6 +162,13 @@ class TestFiltered:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             next(filtered(2, "flock"))
+
+    @pytest.mark.parametrize("name", ["lefts", "phi", "preorder", "verdict", "flock"])
+    def test_matches_knows_only_the_verdict_classes(self, name):
+        # the analysis holds facts that are not classes, such as the left
+        # units, which are truthy on any magma that has one
+        with pytest.raises(ValueError, match=f"^unknown class '{name}'$"):
+            matches(PartialMagma(("a",), ((0,),)), name)
 
     def test_total_filter(self):
         totals = list(filtered(2, "total"))

@@ -138,6 +138,10 @@ class TestCompose:
                 identity_pretransformation(X2, X2), identity_transformation(X2, X2)
             )
 
+    def test_ground_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^maps live on different ground sets$"):
+            compose_maps(identity_pretransformation(X2, X2), identity_pretransformation(X3, X2))
+
     def test_member_composition_requires_membership(self):
         a = full_pretransformation_magma(X2)
         outsider = identity_pretransformation((1, 2, 3), (1,))
@@ -421,8 +425,14 @@ class TestTransformationPoloid:
     def test_precondition_reported_distinctly(self):
         f = identity_transformation(X2, (1,))
         g = identity_transformation(X2, X2)
-        with pytest.raises(PreconditionError):
-            is_transformation_poloid(MapMagma(X2, (f, g)))
+        a = MapMagma(X2, (f, g))
+        with pytest.raises(PreconditionError) as exc:
+            is_transformation_poloid(a)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "not a transformation semigroupoid"
+        assert exc.value.witness == Witness(
+            "dom-cod-mismatch", (a.member_index(g), a.member_index(f))
+        )
 
     def test_units_and_local_identities(self):
         # member identities act as units and compose with their member;
@@ -467,6 +477,15 @@ class TestDomainPretransformationMagma:
         a = MapMagma(X2, (g,))
         w = is_domain_pretransformation_magma(a)
         assert isinstance(w, Witness) and w.kind == "missing-unit"
+
+    def test_requires_closure(self):
+        # the swap composed with itself is the full identity, not a member
+        a = MapMagma(X2, (Prefunction(X2, {1: 2, 2: 1}),))
+        with pytest.raises(PreconditionError) as exc:
+            is_domain_pretransformation_magma(a)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "not closed under composition"
+        assert exc.value.witness == Witness("not-closed", (0, 0))
 
     def test_requires_prefunctions(self):
         with pytest.raises(PreconditionError):
@@ -559,6 +578,15 @@ class TestMapMagmaFiles:
     def test_codomain_mode_needs_codomains(self):
         with pytest.raises(ParseError):
             parse_map_magma("set: 1 2\nmode: codomain\nmap f: 1->1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("mode: supset\nset: 1\nmap f: 1->1\n", "map-magma file must start with a 'set:' line"),
+        ("set: 1\nmap f: 1->1\nmode: supset\n", "second line must be a 'mode:' line"),
+    ])
+    def test_heads_come_first(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_map_magma(text)
+        assert str(exc.value) == message
 
     def test_unknown_mode(self):
         with pytest.raises(ParseError):

@@ -48,6 +48,10 @@ class TestMorphismValues:
         with pytest.raises(ValueError, match="not a target element index"):
             Morphism(z2(), z2(), mapping)
 
+    def test_mapping_covers_the_source(self):
+        with pytest.raises(ValueError, match="^mapping must cover every source element$"):
+            Morphism(z2(), z2(), (0,))
+
 
 class TestHomomorphism:
     def test_identity_on_any_poloid(self, poloid_corpus):
@@ -140,8 +144,20 @@ class TestImagePoloid:
 
     def test_rejects_non_reflecting(self):
         m = Morphism(two_unit_groupoid(), trivial_group(), (0, 0))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as exc:
             image_poloid(m)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "does not reflect definedness"
+        assert exc.value.witness == Witness("definedness", (0, 1))
+
+    def test_rejects_non_homomorphism(self):
+        # sending the unit of Z2 to the non-unit breaks products
+        m = Morphism(z2(), z2(), (1, 0))
+        with pytest.raises(PreconditionError) as exc:
+            image_poloid(m)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "not a homomorphism"
+        assert exc.value.witness == is_homomorphism(m) == Witness("product-mismatch", (0, 0))
 
 
 class TestIsomorphism:

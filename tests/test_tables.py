@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from poloids import (
     ParseError,
     PartialMagma,
+    Witness,
     adjoin_zero,
     effective_units,
     left_units,
@@ -165,6 +166,14 @@ class TestFact:
             assert hasattr(owner, name), name
             assert isinstance(getattr(owner, name), _fact), name
             assert getattr(owner, name) is owner.__dict__[name]
+
+
+class TestWitness:
+    def test_elements_are_a_tuple(self):
+        w = Witness("k", [0, 1])
+        assert w.elements == (0, 1)
+        assert hash(w) == hash(Witness("k", (0, 1)))
+        assert not w
 
 
 class TestParse:
