@@ -21,9 +21,20 @@ as a law the requested class implies is definitely broken:
   r.y is y or undefined), then rechecks row r and each earlier row x
   with x.r = x: it drops the node if such a row holds x in two left-unit
   columns l <= r, or in none of them and in no column l > r;
-- cancellation, for the classes that imply ``groupoid`` (groupoid,
-  group): xy = xz or yx = zx forces y = z, so a defined value appears at
-  most once in each row and each column.
+- normality, for the classes that imply ``normal`` (normal,
+  unit_posetal and the four that imply ``poloid``): when row r completes
+  as a left-unit row, the walk drops the node if some earlier left-unit
+  row l has l.r and r.l both defined;
+- the effective units, for the classes that imply ``poloid`` (poloid,
+  groupoid, monoid, group): when the last row completes, the units are
+  the left-unit rows whose column holds only x.e = x or undefined, and
+  the walk drops the node if some x has no unit e with e.x defined, or
+  none with x.e defined;
+- cancellation and inverses, for the classes that imply ``groupoid``
+  (groupoid, group): xy = xz or yx = zx forces y = z, so a defined value
+  appears at most once in each row and each column; and when the last
+  row completes, each x must have exactly one y with x.y and y.x both
+  units.
 
 A triple (x, y, z) can be definitely broken only once its xy and yz
 cells are chosen, and then only through its (xy)z and x(yz) cells: it is
@@ -35,26 +46,36 @@ cell (t, v), past both its xy and yz cells, until the walk takes k back.
 Rows complete in order, so the left-unit status of rows 0..r is final
 once row r is, and so are the cells of those rows: a unit clash among
 them stays, and a row with no unit among them can gain one only from a
-column l > r that holds x.  Each drop is thus a failure of the
-right-poloid fact ``phi`` (or of cancellation) that no later cell can
-repair, and every class the prune serves implies that fact.
+column l > r that holds x.  The cells l.r and r.l of a left-unit clash
+are fixed once rows l and r are; a column's right-unit status is final
+only with the last row, so the units are too, and the inverses are fixed
+once the units are.  Each drop is thus a failure of a law the class
+implies (``phi``, normality, the effective units, cancellation or
+inverses) that no later cell can repair.
 
-For five classes these prunes imply the whole definition, so the walk
-trusts its leaves and yields them without a checker: ``total`` (every
-cell defined), ``right_directed_semigroupoid`` (the one-sided triple
-law), ``semigroupoid`` (both triple laws), ``right_poloid`` (the
-one-sided law and exactly one phi_x per x) and ``group`` (totality,
-both triple laws and cancellation).  Every triple is checked by the time
-its last cell is set and every row's phi_x once the row is complete, so
-each leaf obeys each of those laws.  A ``group`` leaf is thus a finite
-cancellative semigroup, and that is a group: translations are injective,
-hence onto, so ae = a for some e; cancelling gives ex = x and xe = x;
-and xy = e = zx are solvable, with z = z(xy) = (zx)y = y.  The other
-classes ask for more (effective units, inverses, normality, a unit
-poset), so each of their leaves still goes through :func:`matches`.
-The walk decodes each leaf from its flat cells itself, and every cell
-it chose is an index or undefined, so the leaf is built without the
-constructor's check, as are the tables of ``all_magmas``.
+For every class these prunes imply the whole definition, so the walk
+yields its leaves without a checker.  Every triple is checked by the
+time its last cell is set and every row's phi_x once the row is
+complete, so each leaf obeys the triple laws its class asks for and, for
+a right poloid, has exactly one phi_x per x.  In a right poloid every
+left unit l has l.l = l, so phi_l = l and phi's image is exactly the
+left units.  So a right poloid is normal iff no two left units l != r
+have l.r and r.l both defined; and for left units a != b, a.b is b or
+undefined, so b <= a in the natural preorder iff a.b is defined, and
+antisymmetry on the left units fails exactly where normality does:
+``unit_posetal`` takes ``normal``'s walk.  A poloid is a semigroupoid
+with effective units on both sides, which the last row decides; it is
+normal, since its left units are its units (l = l.vareps_l = vareps_l)
+and two units e != f never compose (ef = f and ef = e).  A total poloid
+has exactly one unit, so a ``monoid`` leaf needs no more; a
+``groupoid`` leaf is a poloid whose every x has one inverse.  A
+``group`` leaf is a finite cancellative semigroup, and that is a group:
+translations are injective, hence onto, so ae = a for some e;
+cancelling gives ex = x and xe = x; and xy = e = zx are solvable, with
+z = z(xy) = (zx)y = y.  The walk decodes each leaf from its flat cells
+itself, and every cell it chose is an index or undefined, so the leaf is
+built without the constructor's check, as are the tables of
+``all_magmas``.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
@@ -100,19 +121,22 @@ _RIGHT_POLOID_CLASSES = frozenset(
 )
 # ... always total, so no cell is undefined
 _TOTAL_CLASSES = frozenset({"total", "monoid", "group"})
-# ... always groupoids, so cancellative: xy = xz or yx = zx forces y = z
-_CANCELLATIVE_CLASSES = frozenset({"groupoid", "group"})
-# classes defined by the prunes above alone, so every leaf of their walk is a member
-_EXACT_CLASSES = frozenset(
-    {"semigroupoid", "right_directed_semigroupoid", "right_poloid", "total", "group"}
+# ... always normal right poloids, so no two left units l != r have l.r and r.l defined
+_NORMAL_CLASSES = frozenset(
+    {"poloid", "groupoid", "monoid", "group", "normal", "unit_posetal"}
 )
+# ... always poloids, so every x has a unit e with e.x defined and one with x.e defined
+_POLOID_CLASSES = frozenset({"poloid", "groupoid", "monoid", "group"})
+# ... always groupoids, so cancellative: xy = xz or yx = zx forces y = z,
+# and each x has exactly one y with x.y and y.x both units
+_GROUPOID_CLASSES = frozenset({"groupoid", "group"})
 
 
 def matches(m: PartialMagma, verdict: str) -> bool:
     """Whether the magma belongs to the named verdict class.
 
-    Reads only the facts that class needs, so a leaf of the walk pays
-    for no more than its own verdict.
+    Reads only the facts that class needs, so a census table pays for
+    no more than the one verdict asked of it.
     """
     if verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
@@ -177,11 +201,12 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
 
     two_sided = verdict in _SEMIGROUPOID_CLASSES
     right_unit = verdict in _RIGHT_POLOID_CLASSES
-    cancels = verdict in _CANCELLATIVE_CLASSES
-    trusted = verdict is None or verdict in _EXACT_CLASSES  # every leaf is a member
+    normal = verdict in _NORMAL_CLASSES
+    cancels = verdict in _GROUPOID_CLASSES
     choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
     names, decode = ELEMENT_NAMES[:n], (*range(n), None).__getitem__
     cells = n * n
+    last = n - 1 if verdict in _POLOID_CLASSES else -1  # the row that fixes the units
     values = [-1] * cells  # -1: not yet chosen
     # readers[k]: the triples checked once cell k is chosen, as (xy, yz, x*n, z)
     # cells: those k = (a, b) completes, (a, b, t) and (t, a, b), then those waiting on k
@@ -223,13 +248,20 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
                 return True
         return False
 
-    def phi_broken(r: int) -> bool:
+    def row_broken(r: int) -> bool:
         """Row r is complete: record whether it is a left-unit row, and
         whether some complete row x has lost its one left unit l with
         x.l = x, through two such l <= r or none left to come.  Only row
-        r and the rows x with x.r = x can have changed."""
+        r and the rows x with x.r = x can have changed.  For a normal
+        class, also whether a left-unit row r and an earlier one l have
+        l.r and r.l both defined; for a poloid class, once r is the last
+        row, whether the units fail."""
         rn = r * n
         left[r] = all(values[rn + l] in (l, n) for l in range(n))
+        if normal and left[r]:
+            for l in range(r):
+                if left[l] and values[l * n + r] < n and values[rn + l] < n:
+                    return True
         for x in range(r + 1):
             xn = x * n
             if x < r and values[xn + r] != x:
@@ -239,6 +271,24 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
                 if left[l] and values[xn + l] == x:
                     units += 1
             if units > 1 or (not units and x not in values[xn + r + 1:xn + n]):
+                return True
+        return r == last and units_broken()
+
+    def units_broken() -> bool:
+        """Every row is complete: whether some x has no unit e with e.x
+        defined or none with x.e defined, the units being the left-unit
+        rows whose column holds only x.e = x or undefined; for a
+        groupoid, also whether some x has other than one y with x.y and
+        y.x both units."""
+        units = [e for e in range(n)
+                 if left[e] and all(values[x * n + e] in (x, n) for x in range(n))]
+        for x in range(n):
+            xn = x * n
+            if (all(values[e * n + x] == n for e in units)
+                    or all(values[xn + e] == n for e in units)):
+                return True
+            if cancels and sum(values[xn + y] in units and values[y * n + x] in units
+                               for y in range(n)) != 1:
                 return True
         return False
 
@@ -271,9 +321,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
             if all(v == n for v in values):
                 return
             flat = tuple(map(decode, values))
-            m = _built(names, tuple([flat[i:i + n] for i in range(0, cells, n)]))
-            if trusted or matches(m, verdict):
-                yield m
+            yield _built(names, tuple([flat[i:i + n] for i in range(0, cells, n)]))
             return
         x, y = divmod(k, n)
         row_done = right_unit and y == n - 1
@@ -281,7 +329,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
             values[k] = v
             if cancels and v < n and (v in values[k - y:k] or v in values[y:k:n]):
                 continue  # xy = xz or yx = zx forces y = z
-            if pruned and cell_broken(k) or row_done and phi_broken(x):
+            if pruned and cell_broken(k) or row_done and row_broken(x):
                 continue
             mark = len(trail)
             for waiting, triple in waits[k][v]:

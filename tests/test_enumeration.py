@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from poloids import BoundExceeded, PartialMagma
+from poloids import BoundExceeded, PartialMagma, is_normal, is_unit_posetal
 from poloids.classify import VERDICT_NAMES, classify
 from poloids.enumeration import (
     all_magmas,
@@ -135,6 +135,10 @@ class TestFiltered:
         ("right_poloid", 3, False, 161), ("right_poloid", 4, False, 5039),
         ("right_poloid", 4, True, 268),
         ("group", 4, False, 16), ("group", 5, True, 1),
+        ("poloid", 4, True, 55), ("monoid", 4, True, 35), ("groupoid", 4, True, 7),
+        ("normal", 4, True, 235), ("unit_posetal", 4, True, 235),
+        ("poloid", 3, False, 52), ("monoid", 3, False, 33), ("groupoid", 3, False, 10),
+        ("normal", 3, False, 151), ("unit_posetal", 3, False, 151),
     ])
     def test_every_leaf_is_yielded(self, monkeypatch, name, n, up_to_iso, yielded):
         # every triple is checked by the time its last cell is set, so each
@@ -142,7 +146,10 @@ class TestFiltered:
         # checked exactly, each leaf of the right_poloid walk is a right
         # poloid, and the total walk never tries an undefined cell; a leaf
         # of the group walk is a finite cancellative semigroup, so a group;
-        # so the walk yields these leaves unchecked, and the checkers agree
+        # the units, the inverses and the left-unit clashes are final once
+        # the rows they read are complete, so the poloid, monoid,
+        # groupoid, normal and unit_posetal walks are exact too; so the
+        # walk yields every leaf unchecked, and the checkers agree
         built, checked = spy_on_leaves(monkeypatch)
         found = list(filtered(n, name, up_to_iso=up_to_iso))
         assert len(found) == len(built) == yielded
@@ -151,13 +158,15 @@ class TestFiltered:
             assert matches(m, name)
             assert classify(m).verdicts[name]
 
-    def test_other_classes_check_every_leaf(self, monkeypatch):
-        # the poloid walk has no prune for the effective units, so 31 of
-        # its 86 leaves on four elements up to isomorphism are refused
+    def test_no_leaf_is_checked(self, monkeypatch):
+        # the walk is exact for every class, so it never asks matches
         built, checked = spy_on_leaves(monkeypatch)
-        found = list(filtered(4, "poloid", up_to_iso=True))
-        assert len(built) == len(checked) == 86
-        assert len(found) == 55
+        for name in (None, *VERDICT_NAMES):
+            for up_to_iso in (False, True):
+                found = list(filtered(3, name, up_to_iso=up_to_iso))
+                assert len(found) == len(built), (name, up_to_iso)
+                built.clear()
+        assert checked == []
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
@@ -257,6 +266,24 @@ class TestRightUnitPrune:
     RIGHT_POLOID_CLASSES = (
         "poloid", "groupoid", "monoid", "group", "right_poloid", "normal", "unit_posetal",
     )
+
+    def test_normal_classes_at_five_elements(self, right_poloids_at_five):
+        # the left-unit clash prune against the right_poloid walk, which
+        # does not use it, filtered by matches
+        for name in ("normal", "unit_posetal"):
+            found = list(filtered(5, name, up_to_iso=True))
+            assert found == [m for m in right_poloids_at_five if matches(m, name)], name
+            assert len(found) == 2364, name
+
+    def test_normal_iff_unit_posetal_beyond_three_elements(self, right_poloids_at_five):
+        # phi's image is the left units, and for left units l != r the
+        # unit order has r <= l iff l.r is defined; so normality and
+        # antisymmetry fail together, which is what lets unit_posetal
+        # take normal's walk
+        labelled = list(filtered(4, "right_poloid"))
+        assert len(labelled) == 5039 and len(right_poloids_at_five) == 2632
+        for m in labelled + right_poloids_at_five:
+            assert bool(is_normal(m)) == bool(is_unit_posetal(m)), m.table
 
     def test_agrees_with_the_right_directed_walk(self):
         # the right-directed semigroupoid walk uses neither the unit nor
@@ -429,6 +456,12 @@ def labelled_at_four():
             found = list(filtered(4, name))
             walks[name] = len(found), first_in_stream(found)
     return walks
+
+
+@pytest.fixture(scope="module")
+def right_poloids_at_five():
+    """The right_poloid walk on five elements up to isomorphism."""
+    return list(filtered(5, "right_poloid", up_to_iso=True))
 
 
 @pytest.fixture(scope="module")
