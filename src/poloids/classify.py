@@ -11,13 +11,32 @@ from a single one, and views refuse: off its domain, a view defined on
 
 Checkers return ``True`` or a falsy :class:`~poloids.tables.Witness`; the
 witness names the elements whose replay against the table reproduces the
-failure, always the first failure in lexicographic index order.  The
-hierarchy covered:
+failure, always the first failure in lexicographic index order.
 
-    group => monoid => poloid;  groupoid => poloid;
-    poloid => semigroupoid => right-directed semigroupoid;
-    poloid => right poloid (with the local right unit being the
-    effective right unit).
+``CLASS_LAWS`` declares each verdict class once, as the set of analysis
+facts it is the conjunction of, and class A implies class B iff A's laws
+include B's; constraint-programming enumerations of semigroups declare
+their classes as constraint sets the same way (Distler et al., "The
+semigroups of order 10", CP 2012).  A set may hold a fact that another
+of its facts implies, so that a reader such as the walk of
+``enumeration.filtered`` can test each law on its own.  The sets rest on
+four theorems:
+
+- a poloid is a normal right poloid: vareps_x is a left unit with
+  x.vareps_x = x, the left units are the units (l = l.vareps_l =
+  vareps_l), and two units e != f never compose (ef = f and ef = e);
+- a total poloid has exactly one unit, since units e != f never compose,
+  so a monoid is a total poloid and a group a total groupoid;
+- a finite cancellative semigroup is a group, so in a total
+  semigroupoid cancellation alone gives the unit and the inverses:
+  translations are injective, hence onto, so ae = a for some e;
+  cancelling gives ex = x and xe = x; and xy = e = zx are solvable,
+  with z = z(xy) = (zx)y = y;
+- normal <=> unit_posetal on right poloids: every left unit l has
+  l.l = l, so phi's image is the left units, and for left units a != b,
+  a.b is b or undefined, so b <= a in the natural preorder iff a.b is
+  defined; antisymmetry on the left units fails exactly where normality
+  does.
 
 A right poloid is the same thing as a small (left) constellation.
 """
@@ -29,25 +48,32 @@ from dataclasses import dataclass
 
 from .tables import PartialMagma, Witness, _fact, _require, left_units, right_units
 
-VERDICT_NAMES = (
-    "semigroupoid",
-    "poloid",
-    "groupoid",
-    "total",
-    "monoid",
-    "group",
-    "right_directed_semigroupoid",
-    "right_poloid",
-    "normal",
-    "unit_posetal",
+_POLOID_LAWS = frozenset(
+    {"right_directed_semigroupoid", "semigroupoid", "phi", "normal", "unit_maps"}
 )
+_NORMAL_LAWS = frozenset({"right_directed_semigroupoid", "phi", "normal"})
+
+# each verdict class, in report order, as the facts it is the conjunction of
+CLASS_LAWS = {
+    "semigroupoid": frozenset({"right_directed_semigroupoid", "semigroupoid"}),
+    "poloid": _POLOID_LAWS,
+    "groupoid": _POLOID_LAWS | {"inverses"},
+    "total": frozenset({"total"}),
+    "monoid": _POLOID_LAWS | {"total"},
+    "group": _POLOID_LAWS | {"inverses", "total"},
+    "right_directed_semigroupoid": frozenset({"right_directed_semigroupoid"}),
+    "right_poloid": frozenset({"right_directed_semigroupoid", "phi"}),
+    "normal": _NORMAL_LAWS,
+    "unit_posetal": _NORMAL_LAWS,
+}
+VERDICT_NAMES = tuple(CLASS_LAWS)
 
 
 class _Analysis:
     """The facts about one partial magma, each computed at most once and
     only when it is first read.
 
-    A verdict fact (named as in ``VERDICT_NAMES``) is ``True`` or the
+    A verdict fact (named as in ``CLASS_LAWS``) is ``True`` or the
     first witness against it; a data fact (``unit_maps``, ``inverses``,
     ``phi``, ``preorder``) is the data or the witness that rules it out.
     Witnesses are falsy and data is not, so ``data and True`` is the

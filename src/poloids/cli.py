@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--up-to-iso", action="store_true",
                    help="one structure per isomorphism class, the least table of each, "
                         f"generated directly (up to {enumeration.ISO_BOUND} elements with "
-                        f"--filter, {enumeration.RAW_BOUND} without a triple law to prune on: "
-                        "no filter or --filter total)")
+                        f"--filter, {enumeration.RAW_BOUND} without a one-sided triple law "
+                        "to prune on: no filter or --filter total)")
     p.add_argument("--emit", metavar="DIR", help="write the matches into DIR, new or empty")
 
     p = sub.add_parser("compose", help="compose two maps from a map-magma file")

@@ -6,35 +6,34 @@ all-undefined table is excluded.  ``all_magmas`` yields the tables in
 the lexicographic order of that encoding but builds them row by row;
 ``count_by_class`` classifies only the right-directed semigroupoids.
 ``filtered`` assigns cells in row-major order and drops a value as soon
-as a law the requested class implies is definitely broken:
+as one of the requested class's laws, its facts in
+``classify.CLASS_LAWS``, is definitely broken:
 
-- totality, for the classes that imply ``total`` (total, monoid,
-  group): no cell is ever left undefined;
-- the one-sided triple law, for every class except ``total`` (all the
-  others are right-directed semigroupoids);
-- the two-sided triple law, for the classes that imply ``semigroupoid``
-  (semigroupoid, poloid, groupoid, monoid, group);
-- the local right unit, for the classes that imply ``right_poloid``
-  (poloid, groupoid, monoid, group, right_poloid, normal, unit_posetal):
-  each x has exactly one left unit phi_x with x.phi_x = x.  When row r
-  is complete the walk notes whether it is a left-unit row (every cell
-  r.y is y or undefined), then rechecks row r and each earlier row x
-  with x.r = x: it drops the node if such a row holds x in two left-unit
+- totality, for the classes whose laws include ``total``: no cell is
+  ever left undefined;
+- the one-sided triple law, for the classes whose laws include
+  ``right_directed_semigroupoid``;
+- the two-sided triple law, for the classes whose laws include
+  ``semigroupoid``;
+- the local right unit, for the classes whose laws include ``phi``: each
+  x has exactly one left unit phi_x with x.phi_x = x.  When row r is
+  complete the walk notes whether it is a left-unit row (every cell r.y
+  is y or undefined), then rechecks row r and each earlier row x with
+  x.r = x: it drops the node if such a row holds x in two left-unit
   columns l <= r, or in none of them and in no column l > r;
-- normality, for the classes that imply ``normal`` (normal,
-  unit_posetal and the four that imply ``poloid``): when row r completes
-  as a left-unit row, the walk drops the node if some earlier left-unit
-  row l has l.r and r.l both defined;
-- the effective units, for the classes that imply ``poloid`` (poloid,
-  groupoid, monoid, group): when the last row completes, the units are
-  the left-unit rows whose column holds only x.e = x or undefined, and
-  the walk drops the node if some x has no unit e with e.x defined, or
-  none with x.e defined;
-- cancellation and inverses, for the classes that imply ``groupoid``
-  (groupoid, group): xy = xz or yx = zx forces y = z, so a defined value
-  appears at most once in each row and each column; and when the last
-  row completes, each x must have exactly one y with x.y and y.x both
-  units.
+- normality, for the classes whose laws include ``normal``: when row r
+  completes as a left-unit row, the walk drops the node if some earlier
+  left-unit row l has l.r and r.l both defined;
+- the effective units, for the classes whose laws include
+  ``unit_maps``: when the last row completes, the units are the
+  left-unit rows whose column holds only x.e = x or undefined, and the
+  walk drops the node if some x has no unit e with e.x defined, or none
+  with x.e defined;
+- cancellation and inverses, for the classes whose laws include
+  ``inverses``: xy = xz or yx = zx forces y = z (multiply by x's
+  inverse), so a defined value appears at most once in each row and
+  each column; and when the last row completes, each x must have exactly
+  one y with x.y and y.x both units.
 
 A triple (x, y, z) can be definitely broken only once its xy and yz
 cells are chosen, and then only through its (xy)z and x(yz) cells: it is
@@ -49,33 +48,22 @@ them stays, and a row with no unit among them can gain one only from a
 column l > r that holds x.  The cells l.r and r.l of a left-unit clash
 are fixed once rows l and r are; a column's right-unit status is final
 only with the last row, so the units are too, and the inverses are fixed
-once the units are.  Each drop is thus a failure of a law the class
-implies (``phi``, normality, the effective units, cancellation or
-inverses) that no later cell can repair.
+once the units are.  Each drop is thus a failure of one of the class's
+laws (``phi``, ``normal``, ``unit_maps`` or ``inverses``, which
+cancellation is part of) that no later cell can repair.
 
-For every class these prunes imply the whole definition, so the walk
-yields its leaves without a checker.  Every triple is checked by the
-time its last cell is set and every row's phi_x once the row is
-complete, so each leaf obeys the triple laws its class asks for and, for
-a right poloid, has exactly one phi_x per x.  In a right poloid every
-left unit l has l.l = l, so phi_l = l and phi's image is exactly the
-left units.  So a right poloid is normal iff no two left units l != r
-have l.r and r.l both defined; and for left units a != b, a.b is b or
-undefined, so b <= a in the natural preorder iff a.b is defined, and
-antisymmetry on the left units fails exactly where normality does:
-``unit_posetal`` takes ``normal``'s walk.  A poloid is a semigroupoid
-with effective units on both sides, which the last row decides; it is
-normal, since its left units are its units (l = l.vareps_l = vareps_l)
-and two units e != f never compose (ef = f and ef = e).  A total poloid
-has exactly one unit, so a ``monoid`` leaf needs no more; a
-``groupoid`` leaf is a poloid whose every x has one inverse.  A
-``group`` leaf is a finite cancellative semigroup, and that is a group:
-translations are injective, hence onto, so ae = a for some e;
-cancelling gives ex = x and xe = x; and xy = e = zx are solvable, with
-z = z(xy) = (zx)y = y.  The walk decodes each leaf from its flat cells
-itself, and every cell it chose is an index or undefined, so the leaf is
-built without the constructor's check, as are the tables of
-``all_magmas``.
+Each class is the conjunction of its laws, so the walk yields its
+leaves without a checker.  Every triple is checked by the time its last
+cell is set and every row's phi_x once the row is complete, so each leaf
+obeys the triple laws its class asks for and, for a right poloid, has
+exactly one phi_x per x.  In a right poloid every left unit l has
+l.l = l, so phi_l = l and phi's image is exactly the left units; so a
+right poloid is normal iff no two left units l != r have l.r and r.l
+both defined.  In a semigroupoid each x has at most one unit on each
+side, so the effective units fix the unit maps.  The walk decodes each
+leaf from its flat cells itself, and every cell it chose is an index or
+undefined, so the leaf is built without the constructor's check, as are
+the tables of ``all_magmas``.
 
 Up to isomorphism the walk keeps only the least table of each class
 (orderly generation: Read, "Every one a winner", 1978; McKay, J.
@@ -101,7 +89,7 @@ from functools import cache
 from itertools import islice, permutations, product as iproduct
 from typing import Iterator
 
-from .classify import VERDICT_NAMES, _Analysis, classify
+from .classify import CLASS_LAWS, VERDICT_NAMES, _Analysis, classify
 from .errors import BoundExceeded
 from .tables import PartialMagma, _built
 
@@ -110,27 +98,6 @@ ELEMENT_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
 RAW_BOUND = 3
 FILTERED_BOUND = 4
 ISO_BOUND = 5
-
-# classes whose members are always right-directed semigroupoids
-_RD_CLASSES = frozenset(VERDICT_NAMES) - {"total"}
-# ... always semigroupoids, so the two-sided triple law holds
-_SEMIGROUPOID_CLASSES = frozenset({"semigroupoid", "poloid", "groupoid", "monoid", "group"})
-# ... always right poloids, so every x has a local right unit: x.phi_x = x
-_RIGHT_POLOID_CLASSES = frozenset(
-    {"poloid", "groupoid", "monoid", "group", "right_poloid", "normal", "unit_posetal"}
-)
-# ... always total, so no cell is undefined
-_TOTAL_CLASSES = frozenset({"total", "monoid", "group"})
-# ... always normal right poloids, so no two left units l != r have l.r and r.l defined
-_NORMAL_CLASSES = frozenset(
-    {"poloid", "groupoid", "monoid", "group", "normal", "unit_posetal"}
-)
-# ... always poloids, so every x has a unit e with e.x defined and one with x.e defined
-_POLOID_CLASSES = frozenset({"poloid", "groupoid", "monoid", "group"})
-# ... always groupoids, so cancellative: xy = xz or yx = zx forces y = z,
-# and each x has exactly one y with x.y and y.x both units
-_GROUPOID_CLASSES = frozenset({"groupoid", "group"})
-
 
 def matches(m: PartialMagma, verdict: str) -> bool:
     """Whether the magma belongs to the named verdict class.
@@ -186,27 +153,29 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     lexicographic table order; ``verdict=None`` puts no law on them.
 
     With ``up_to_iso``, only the least table of each isomorphism class,
-    which is its :func:`canonical_form`.  The bound is ``RAW_BOUND`` for
-    a class with no triple law to prune on (``None`` and ``total``),
+    which is its :func:`canonical_form`.  The walk prunes on the laws of
+    the class in ``CLASS_LAWS``.  The bound is ``RAW_BOUND`` when they
+    leave out the one-sided triple law (``None`` and ``total``),
     ``ISO_BOUND`` up to isomorphism and ``FILTERED_BOUND`` otherwise.
     """
     if verdict is not None and verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
-    pruned = verdict in _RD_CLASSES
+    laws = CLASS_LAWS[verdict] if verdict else frozenset()
+    pruned = "right_directed_semigroupoid" in laws
     bound = RAW_BOUND if not pruned else ISO_BOUND if up_to_iso else FILTERED_BOUND
     if not 1 <= n <= bound:
         what = f"class {verdict!r}" if verdict else "every table"
         how = " up to isomorphism" if up_to_iso else ""
         raise BoundExceeded(f"{what}{how}: enumeration supports 1..{bound} elements, got {n}")
 
-    two_sided = verdict in _SEMIGROUPOID_CLASSES
-    right_unit = verdict in _RIGHT_POLOID_CLASSES
-    normal = verdict in _NORMAL_CLASSES
-    cancels = verdict in _GROUPOID_CLASSES
-    choices = range(n) if verdict in _TOTAL_CLASSES else range(n + 1)  # n is undefined
+    two_sided = "semigroupoid" in laws
+    right_unit = "phi" in laws
+    normal = "normal" in laws
+    cancels = "inverses" in laws
+    choices = range(n) if "total" in laws else range(n + 1)  # n is undefined
     names, decode = ELEMENT_NAMES[:n], (*range(n), None).__getitem__
     cells = n * n
-    last = n - 1 if verdict in _POLOID_CLASSES else -1  # the row that fixes the units
+    last = n - 1 if "unit_maps" in laws else -1  # the row that fixes the units
     values = [-1] * cells  # -1: not yet chosen
     # readers[k]: the triples checked once cell k is chosen, as (xy, yz, x*n, z)
     # cells: those k = (a, b) completes, (a, b, t) and (t, a, b), then those waiting on k

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,6 +33,7 @@ from poloids import (
     phi_map,
     units,
 )
+from poloids.classify import CLASS_LAWS, _Analysis
 from poloids.enumeration import all_magmas, filtered
 
 from conftest import (
@@ -388,6 +389,59 @@ class TestHierarchy:
                 assert bool(is_normal(m)) == bool(is_unit_posetal(m))
 
 
+def seeded_tables(seed, count, undefined=(0.5, 0.8, 0.9, 0.95)):
+    """``count`` random tables on 4 to 8 elements, each cell undefined
+    with a chance drawn from ``undefined``, and at least one cell defined."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 8)
+        p = rng.choice(undefined)
+        table = [[None if rng.random() < p else rng.randrange(n) for _ in range(n)]
+                 for _ in range(n)]
+        table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        yield PartialMagma(tuple("abcdefgh"[:n]), tuple(map(tuple, table)))
+
+
+class TestClassLaws:
+    # each verdict class holds exactly where every fact of its set in
+    # CLASS_LAWS holds.  Off the right-directed semigroupoids every class
+    # but total fails, and so does its conjunction, which reads
+    # right_directed_semigroupoid; total is its one fact.  So the walks
+    # below cover every table with at most 3 elements
+
+    @staticmethod
+    def assert_conjunctions(m):
+        verdicts, a = classify(m).verdicts, _Analysis(m)
+        for name, laws in CLASS_LAWS.items():
+            assert verdicts[name] == all(getattr(a, f) for f in laws), (m.table, name)
+
+    def test_labelled_right_directed_semigroupoids_up_to_three_elements(self):
+        for n in (1, 2, 3):
+            for m in filtered(n, "right_directed_semigroupoid"):
+                self.assert_conjunctions(m)
+
+    def test_right_directed_semigroupoid_classes_on_four_elements(self):
+        classes = list(filtered(4, "right_directed_semigroupoid", up_to_iso=True))
+        assert len(classes) == 2246
+        for m in classes:
+            self.assert_conjunctions(m)
+
+    def test_seeded_random_tables_on_four_to_eight_elements(self):
+        # 0.0 adds total tables, the one class off the one-sided law
+        for m in seeded_tables(27, 2000, undefined=(0.0, 0.5, 0.8, 0.9, 0.95)):
+            self.assert_conjunctions(m)
+
+    def test_implications_are_inclusions_of_laws(self, small_census):
+        # on three elements, A's members lie among B's exactly when A's
+        # laws include B's, for every ordered pair of classes
+        members = {name: set(flats) for name, flats in small_census.by_class.items()}
+        for a, b in product(CLASS_LAWS, repeat=2):
+            assert (members[a] <= members[b]) == (CLASS_LAWS[a] >= CLASS_LAWS[b]), (a, b)
+        # the census and the raw bound of the walk rest on this
+        assert [name for name, laws in CLASS_LAWS.items()
+                if "right_directed_semigroupoid" not in laws] == ["total"]
+
+
 class TestDuality:
     # the opposite magma, with the transposed table, is a poloid exactly
     # when the magma is one, and its unit maps are swapped: eps_x of the
@@ -446,15 +500,8 @@ class TestTripleLawWitnessOrder:
         assert (len(classes), two_sided_fails) == (2246, 1798)
 
     def test_seeded_random_tables_on_four_to_eight_elements(self):
-        rng = random.Random(23)
         outcomes = set()
-        for _ in range(1500):
-            n = rng.randint(4, 8)
-            p = rng.choice((0.5, 0.8, 0.9, 0.95))  # the chance a cell is undefined
-            table = [[None if rng.random() < p else rng.randrange(n) for _ in range(n)]
-                     for _ in range(n)]
-            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-            m = PartialMagma(tuple("abcdefgh"[:n]), tuple(map(tuple, table)))
+        for m in seeded_tables(23, 1500):
             self.assert_first(m)
             two, one = is_semigroupoid(m), is_right_directed_semigroupoid(m)
             outcomes.add((two is True, one is True, two == one))

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from poloids import BoundExceeded, PartialMagma, is_normal, is_unit_posetal
-from poloids.classify import VERDICT_NAMES, classify
+from poloids.classify import CLASS_LAWS, VERDICT_NAMES, classify
 from poloids.enumeration import (
     all_magmas,
     canonical_form,
@@ -189,7 +189,7 @@ class TestFiltered:
 
     def test_filtered_bound(self):
         # the labelled walk stops at 4, the one up to isomorphism at 5;
-        # with no triple law to prune on (no class, or total), both stop at 3
+        # with no one-sided triple law to prune on (no class, or total), both stop at 3
         for n, verdict, up_to_iso in (
             (5, "group", False),
             (6, "group", True),
@@ -263,9 +263,7 @@ class TestRightUnitPrune:
     # the walk drops a node once a complete row x can no longer have
     # exactly one left unit phi_x with x.phi_x = x
 
-    RIGHT_POLOID_CLASSES = (
-        "poloid", "groupoid", "monoid", "group", "right_poloid", "normal", "unit_posetal",
-    )
+    RIGHT_POLOID_CLASSES = [name for name, laws in CLASS_LAWS.items() if "phi" in laws]
 
     def test_normal_classes_at_five_elements(self, right_poloids_at_five):
         # the left-unit clash prune against the right_poloid walk, which
