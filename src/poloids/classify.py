@@ -272,6 +272,18 @@ class _Analysis:
         return True
 
 
+def _breaks_one_sided(t, x, y, z) -> bool:
+    """Whether the triple (x, y, z) breaks the one-sided triple law in
+    table t, the law that ``_Analysis.right_directed_semigroupoid`` scans."""
+    xy = t[x][y]
+    if xy is None:
+        return False
+    yz, xy_z = t[y][z], t[xy][z]
+    if yz is None:
+        return xy_z is not None
+    return xy_z is None or xy_z != t[x][yz]
+
+
 def is_total(m: PartialMagma) -> bool:
     return bool(_Analysis(m).total)
 

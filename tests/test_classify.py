@@ -33,7 +33,7 @@ from poloids import (
     phi_map,
     units,
 )
-from poloids.classify import CLASS_LAWS, _Analysis
+from poloids.classify import CLASS_LAWS, _Analysis, _breaks_one_sided
 from poloids.enumeration import all_magmas, filtered
 
 from conftest import (
@@ -510,6 +510,35 @@ class TestTripleLawWitnessOrder:
         assert outcomes == {
             (True, True, True), (False, True, False), (False, False, True), (False, False, False),
         }
+
+
+class TestOneSidedReplay:
+    # the census replays one triple with _breaks_one_sided before it
+    # scans the one-sided law with the fact; both state the same law:
+    # the predicate breaks a triple exactly when its replay does, the
+    # fact's witness is the first triple it breaks, and a right-directed
+    # table has none
+
+    @staticmethod
+    def assert_same_law(m):
+        t, n = m.table, m.size
+        triples = list(product(range(n), repeat=3))
+        broken = [_breaks_one_sided(t, x, y, z) for x, y, z in triples]
+        assert broken == [replays_associativity(t, x, y, z, True) for x, y, z in triples], t
+        first = Witness("associativity", triples[broken.index(True)]) if True in broken else True
+        assert _Analysis(m).right_directed_semigroupoid == first, t
+
+    def test_every_table_up_to_three_elements(self):
+        for n in (1, 2, 3):
+            for m in all_magmas(n):
+                self.assert_same_law(m)
+
+    def test_seeded_random_tables_on_four_to_eight_elements(self):
+        held = 0
+        for m in seeded_tables(28, 2000):
+            self.assert_same_law(m)
+            held += is_right_directed_semigroupoid(m) is True
+        assert 0 < held < 2000
 
 
 class TestRelabelledTripleLaws:

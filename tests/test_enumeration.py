@@ -394,6 +394,22 @@ class TestCounts:
         counts = count_by_class(n)
         assert len(built) == counts["right_directed_semigroupoid"] == reports
 
+    @pytest.mark.parametrize("n, scans, reports", [(2, 42, 21), (3, 4784, 681)])
+    def test_replays_the_last_witness_before_it_scans(self, monkeypatch, n, scans, reports):
+        # consecutive tables mostly differ only in their last row, so the
+        # triple that refuted the last table scanned rules out most of the
+        # next ones; only the others get an analysis that scans the
+        # one-sided law, and only the tables that pass it get a report,
+        # which builds an analysis of its own
+        module = importlib.import_module("poloids.enumeration")
+        analyses, built = [], []
+        real_init, real_classify = module._Analysis.__init__, module.classify
+        monkeypatch.setattr(module._Analysis, "__init__",
+                            lambda self, m: analyses.append(m) or real_init(self, m))
+        monkeypatch.setattr(module, "classify", lambda m: built.append(m) or real_classify(m))
+        count_by_class(n)
+        assert (len(analyses) - len(built), len(built)) == (scans, reports)
+
     def test_agrees_with_the_walk_and_the_closed_forms(self):
         # the oracle shares no path with the census: the pruned walk
         # lists the right-directed semigroupoids, and the total and
