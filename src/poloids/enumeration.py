@@ -38,21 +38,22 @@ as one of the requested class's laws, its facts in
   one y with x.y and y.x both units.
 
 A triple (x, y, z) can be definitely broken only once its xy and yz
-cells are chosen, and then only through its (xy)z and x(yz) cells: it is
-checked at the later of its xy and yz cells and at those two where later
-still.  Cell k = (a, b) lists the triples it completes as xy or yz,
-(a, b, t) and (t, a, b), once per walk; once it holds a defined v, each
-(a, b, t) waits on its (xy)z cell (v, t) and each (t, a, b) on its x(yz)
-cell (t, v), past both its xy and yz cells, until the walk takes k back.
-Rows complete in order, so the left-unit status of rows 0..r is final
-once row r is, and so are the cells of those rows: a unit clash among
-them stays, and a row with no unit among them can gain one only from a
-column l > r that holds x.  The cells l.r and r.l of a left-unit clash
-are fixed once rows l and r are; a column's right-unit status is final
-only with the last row, so the units are too, and the inverses are fixed
-once the units are.  Each drop is thus a failure of one of the class's
-laws (``phi``, ``normal``, ``unit_maps`` or ``inverses``, which
-cancellation is part of) that no later cell can repair.
+cells are chosen, and then only through its (xy)z and x(yz) cells: the
+value loop checks it in place at the later of its xy and yz cells and at
+those two where later still.  Cell k = (a, b) lists the triples it
+completes as xy or yz, (a, b, t) and (t, a, b), once per walk; once it
+holds a defined v, each (a, b, t) waits on its (xy)z cell (v, t) and
+each (t, a, b) on its x(yz) cell (t, v), past both its xy and yz cells,
+until the walk takes k back; a walk with no triple law lists none.  Rows
+complete in order, so the left-unit status of rows 0..r is final once
+row r is, and so are the cells of those rows: a unit clash among them
+stays, and a row with no unit among them can gain one only from a column
+l > r that holds x.  The cells l.r and r.l of a left-unit clash are
+fixed once rows l and r are; a column's right-unit status is final only
+with the last row, so the units are too, and the inverses are fixed once
+the units are.  Each drop is thus a failure of one of the class's laws
+(``phi``, ``normal``, ``unit_maps`` or ``inverses``, which cancellation
+is part of) that no later cell can repair.
 
 Each class is the conjunction of its laws, so the walk yields its
 leaves without a checker.  Every triple is checked by the time its last
@@ -185,7 +186,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         [(k, b * n + t, a * n, t) for t in range(n) if b * n + t <= k]
         + [(t * n + a, k, t * n, b) for t in range(n) if t * n + a <= k]
         for k in range(cells) for a, b in [divmod(k, n)]
-    ]
+    ] if pruned else [()] * cells
     # waits[k][v]: (readers list, triple) for the triples set waiting on a later
     # cell once k = (a, b) holds v: (a, b, t) on (v, t) and (t, a, b) on (t, v)
     waits = [
@@ -202,22 +203,6 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         buckets[block[0]].append((source, image, block, 0))
     trail = []  # the readers and buckets lists appended to, popped in reverse on undo
     left = [False] * n  # left[r]: complete row r holds only r.y = y or undefined
-
-    def cell_broken(k: int) -> bool:
-        """A violation no later choice can repair among the triples that
-        read cell k, whose xy and yz cells are chosen; the parent had none."""
-        for i, j, xn, z in readers[k]:
-            xy, yz = values[i], values[j]
-            if xy == n:  # two-sided: yz and x(yz) defined force xy defined
-                fails = two_sided and yz < n and 0 <= values[xn + yz] < n
-            elif yz == n:  # (xy)z defined forces yz defined
-                fails = 0 <= values[xy * n + z] < n
-            else:  # xy and yz defined force (xy)z = x(yz), both defined
-                wz, xv = values[xy * n + z], values[xn + yz]
-                fails = wz == n or xv == n or wz != xv and wz >= 0 and xv >= 0
-            if fails:
-                return True
-        return False
 
     def row_broken(r: int) -> bool:
         """Row r is complete: record whether it is a left-unit row, and
@@ -296,20 +281,35 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
             return
         x, y = divmod(k, n)
         row_done = right_unit and y == n - 1
+        # deeper cells append only to later cells' lists, so these stay put
+        checks, waits_k, tied = readers[k], waits[k], buckets[k]
         for v in choices:
             values[k] = v
             if cancels and v < n and (v in values[k - y:k] or v in values[y:k:n]):
                 continue  # xy = xz or yx = zx forces y = z
-            if pruned and cell_broken(k) or row_done and row_broken(x):
-                continue
-            mark = len(trail)
-            for waiting, triple in waits[k][v]:
-                waiting.append(triple)
-                trail.append(waiting)
-            if still_least(k):
-                yield from walk(k + 1)
-            while len(trail) > mark:
-                trail.pop().pop()
+            for i, j, xn, z in checks:  # a break is a violation no later cell repairs
+                xy, yz = values[i], values[j]
+                if xy == n:  # two-sided: yz and x(yz) defined force xy defined
+                    if two_sided and yz < n and 0 <= values[xn + yz] < n:
+                        break
+                elif yz == n:  # (xy)z defined forces yz defined
+                    if 0 <= values[xy * n + z] < n:
+                        break
+                else:  # xy and yz defined force (xy)z = x(yz), both defined
+                    wz, xv = values[xy * n + z], values[xn + yz]
+                    if wz == n or xv == n or wz != xv and wz >= 0 and xv >= 0:
+                        break
+            else:
+                if row_done and row_broken(x):
+                    continue
+                mark = len(trail)
+                for waiting, triple in waits_k[v]:
+                    waiting.append(triple)
+                    trail.append(waiting)
+                if not tied or still_least(k):
+                    yield from walk(k + 1)
+                while len(trail) > mark:
+                    trail.pop().pop()
         values[k] = -1
 
     yield from walk(0)

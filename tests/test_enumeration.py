@@ -293,6 +293,25 @@ class TestRightUnitPrune:
             assert found == [m for m in directed if matches(m, name)], name
 
 
+class TestOracleChainAtFiveElements:
+    # each pruned walk up to isomorphism equals the walk one law weaker
+    # filtered by matches; every class is closed under relabelling, so its
+    # least tables are the least ones of the weaker class that it holds;
+    # this is a second method for the three counts, and it checks the
+    # two-sided, phi and unit prunes at five elements
+
+    def test_each_walk_is_the_one_law_weaker_walk_filtered(
+            self, right_poloids_at_five, poloids_at_five):
+        directed = list(filtered(5, "right_directed_semigroupoid", up_to_iso=True))
+        assert len(directed) == 62374
+        semigroupoids = list(filtered(5, "semigroupoid", up_to_iso=True))
+        assert semigroupoids == [m for m in directed if matches(m, "semigroupoid")]
+        assert right_poloids_at_five == [m for m in directed if matches(m, "right_poloid")]
+        assert poloids_at_five == [m for m in semigroupoids if matches(m, "poloid")]
+        assert (len(semigroupoids), len(right_poloids_at_five), len(poloids_at_five)) == (
+            4118, 2632, 329)
+
+
 class TestUpToIsomorphism:
     # the oracle is the dedupe the walk replaced: each class's first
     # table in the labelled stream, in canonical-form order
