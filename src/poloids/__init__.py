@@ -1,6 +1,8 @@
 """Finite partial magmas, poloids, constellations, and their
 representations by magmas of partial transformations."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import BoundExceeded, ParseError, PreconditionError
 from .tables import (
     PartialMagma,
@@ -76,4 +78,5 @@ from .morphisms import (
     serialize_morphism,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -11,7 +11,9 @@ from a single one, and views refuse: off its domain, a view defined on
 
 Checkers return ``True`` or a falsy :class:`~poloids.tables.Witness`; the
 witness names the elements whose replay against the table reproduces the
-failure, always the first failure in lexicographic index order.
+failure, always the first failure in lexicographic index order.  The
+one-sided triple law has one statement, ``_one_sided_break``: its fact
+scans it cell by cell and ``enumeration.count_by_class`` replays it.
 
 ``CLASS_LAWS`` declares each verdict class once, as the set of analysis
 facts it is the conjunction of, and class A implies class B iff A's laws
@@ -110,23 +112,11 @@ class _Analysis:
         """One-sided triple law: with xy defined, (xy)z and x(yz) are both
         undefined, or both defined and equal."""
         t = self.m.table
-        n = self.m.size
-        for x in range(n):
-            tx = t[x]
-            for y in range(n):
-                xy = tx[y]
-                if xy is None:
-                    continue
-                ty = t[y]
-                txy = t[xy]
-                for z in range(n):
-                    yz = ty[z]
-                    xy_z = txy[z]
-                    if yz is None:
-                        if xy_z is None:
-                            continue
-                    elif xy_z is not None and xy_z == tx[yz]:
-                        continue
+        zs = range(self.m.size)
+        for x in zs:
+            for y in zs:
+                z = _one_sided_break(t, x, y, zs)
+                if z is not None:
                     return Witness("associativity", (x, y, z))
         return True
 
@@ -272,16 +262,23 @@ class _Analysis:
         return True
 
 
-def _breaks_one_sided(t, x, y, z) -> bool:
-    """Whether the triple (x, y, z) breaks the one-sided triple law in
-    table t, the law that ``_Analysis.right_directed_semigroupoid`` scans."""
-    xy = t[x][y]
+def _one_sided_break(t, x, y, zs):
+    """The first z in zs for which the triple (x, y, z) breaks the
+    one-sided triple law in table t, or ``None``."""
+    tx = t[x]
+    xy = tx[y]
     if xy is None:
-        return False
-    yz, xy_z = t[y][z], t[xy][z]
-    if yz is None:
-        return xy_z is not None
-    return xy_z is None or xy_z != t[x][yz]
+        return None
+    ty, txy = t[y], t[xy]
+    for z in zs:
+        yz, xy_z = ty[z], txy[z]
+        if yz is None:
+            if xy_z is None:
+                continue
+        elif xy_z is not None and xy_z == tx[yz]:
+            continue
+        return z
+    return None
 
 
 def is_total(m: PartialMagma) -> bool:

@@ -5,8 +5,8 @@ Tables on n elements are encoded flat: a tuple of n*n entries in
 all-undefined table is excluded.  ``all_magmas`` yields the tables in
 the lexicographic order of that encoding but builds them row by row.
 ``count_by_class`` classifies only the right-directed semigroupoids, and
-replays the triple that refuted the last table it scanned before it
-scans the next one for the one-sided triple law.
+replays the last refuting triple through ``classify._one_sided_break``
+before it scans the next table for the one-sided triple law.
 ``filtered`` assigns cells in row-major order and drops a value as soon
 as one of the requested class's laws, its facts in
 ``classify.CLASS_LAWS``, is definitely broken:
@@ -92,7 +92,7 @@ from functools import cache
 from itertools import islice, permutations, product as iproduct
 from typing import Iterator
 
-from .classify import CLASS_LAWS, VERDICT_NAMES, _Analysis, _breaks_one_sided, classify
+from .classify import CLASS_LAWS, VERDICT_NAMES, _Analysis, _one_sided_break, classify
 from .errors import BoundExceeded
 from .tables import PartialMagma, _built
 
@@ -105,8 +105,7 @@ ISO_BOUND = 5
 def matches(m: PartialMagma, verdict: str) -> bool:
     """Whether the magma belongs to the named verdict class.
 
-    Reads only the facts that class needs.  The census does not call
-    it: it reads the one-sided law's witness, which this drops.
+    Reads only the facts that class needs.
     """
     if verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
@@ -118,17 +117,15 @@ def all_magmas(n: int) -> Iterator[PartialMagma]:
 
     Tables are generated row by row, as n-tuples of rows over
     ``0..n-1`` and then ``None``, which is the order of the flat
-    encoding; the all-undefined table, the last one, is skipped.  Every
+    encoding; the all-undefined table, the last one, is left off.  Every
     table is valid by construction, so none is checked again.
     """
     if not 1 <= n <= RAW_BOUND:
         raise BoundExceeded(f"raw enumeration supports 1..{RAW_BOUND} elements, got {n}")
     names = ELEMENT_NAMES[:n]
     rows = tuple(iproduct((*range(n), None), repeat=n))
-    empty = (rows[-1],) * n
-    for table in iproduct(rows, repeat=n):
-        if table != empty:
-            yield _built(names, table)
+    for table in islice(iproduct(rows, repeat=n), len(rows) ** n - 1):
+        yield _built(names, table)
 
 
 @cache
@@ -328,16 +325,16 @@ def count_by_class(n: int) -> dict[str, int]:
     n = 3, 4,784 of the 262,143 tables.
     """
     counts = dict.fromkeys(VERDICT_NAMES, 0)
-    witness = (0, 0, 0)  # the triple that refuted the last table scanned
+    x = y = z = 0  # the triple that refuted the last table scanned
     for m in all_magmas(n):
-        if _breaks_one_sided(m.table, *witness):
+        if _one_sided_break(m.table, x, y, (z,)) is not None:
             continue
         found = _Analysis(m).right_directed_semigroupoid
         if found is True:
             for name, ok in classify(m).verdicts.items():
                 counts[name] += ok
         else:
-            witness = found.elements
+            x, y, z = found.elements
     counts["total"] = n ** (n * n)
     counts["partial_magmas"] = (n + 1) ** (n * n) - 1
     return counts

@@ -33,7 +33,7 @@ from poloids import (
     phi_map,
     units,
 )
-from poloids.classify import CLASS_LAWS, _Analysis, _breaks_one_sided
+from poloids.classify import CLASS_LAWS, _Analysis, _one_sided_break
 from poloids.enumeration import all_magmas, filtered
 
 from conftest import (
@@ -513,18 +513,23 @@ class TestTripleLawWitnessOrder:
 
 
 class TestOneSidedReplay:
-    # the census replays one triple with _breaks_one_sided before it
-    # scans the one-sided law with the fact; both state the same law:
-    # the predicate breaks a triple exactly when its replay does, the
-    # fact's witness is the first triple it breaks, and a right-directed
-    # table has none
+    # _one_sided_break is the one statement of the one-sided law: the
+    # fact scans each cell's row of z with it and the census replays one
+    # triple (z,) with it.  Its single-z form breaks a triple exactly when
+    # the oracle's replay does, its row form returns the first such z of
+    # each cell or None, and the fact's witness is the first broken triple
 
     @staticmethod
     def assert_same_law(m):
         t, n = m.table, m.size
         triples = list(product(range(n), repeat=3))
-        broken = [_breaks_one_sided(t, x, y, z) for x, y, z in triples]
+        single = [_one_sided_break(t, x, y, (z,)) for x, y, z in triples]
+        assert all(found in (z, None) for found, (_, _, z) in zip(single, triples)), t
+        broken = [found is not None for found in single]
         assert broken == [replays_associativity(t, x, y, z, True) for x, y, z in triples], t
+        for x, y in product(range(n), repeat=2):
+            row = [z for z in range(n) if broken[(x * n + y) * n + z]]
+            assert _one_sided_break(t, x, y, range(n)) == (row[0] if row else None), (t, x, y)
         first = Witness("associativity", triples[broken.index(True)]) if True in broken else True
         assert _Analysis(m).right_directed_semigroupoid == first, t
 

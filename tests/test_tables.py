@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import re
 import sys
 import threading
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, strategies as st
 
+import poloids
 from poloids import (
     ParseError,
     PartialMagma,
@@ -377,3 +381,23 @@ class TestAdjoinZero:
                         for w in range(zero + 1):
                             assert t[xy][w] == zero
                             assert t[w][xy] == zero
+
+
+class TestPublicNames:
+    # __all__ names the package's functions, classes and values, never
+    # the submodules its imports bind, so a star import brings in no
+    # module; and it covers what the README's Library section imports
+    def test_no_module_in_all(self):
+        assert not [n for n in poloids.__all__ if isinstance(getattr(poloids, n), ModuleType)]
+        namespace = {}
+        exec("from poloids import *", namespace)
+        namespace.pop("__builtins__")
+        assert not [n for n, v in namespace.items() if isinstance(v, ModuleType)]
+
+    def test_readme_library_imports_are_public(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+        imported = re.search(r"from poloids import \(([^)]*)\)", library).group(1)
+        names = {name.strip() for name in imported.split(",") if name.strip()}
+        assert "classify" in names and "parse_magma" in names
+        assert names <= set(poloids.__all__), names - set(poloids.__all__)
