@@ -3,16 +3,16 @@
 One pipeline in two steps.  First each element x becomes the left
 translation t -> xt on the carrier: row x of the table, taken as ground
 positions by the one map builder of :mod:`poloids.maps`, with no points
-read.  For a poloid this is a faithful copy, for a right poloid a
-(possibly non-injective) quotient.  Second, for poloids, each translation
-gets as codomain the domain positions of the translation of x's
-effective left unit, so that the image composes exactly when the
-original products were defined: that checked upgrade is
-:func:`attach_codomains`, and with the transformation-poloid check of
-its image, the Cayley-style :func:`cayley_embedding`.  Normal right
-poloids skip the upgrade and embed directly into a domain
-pretransformation magma: normality is precisely what makes the
-translation map injective.
+read.  That is :func:`left_translation_embedding`, which maps every right
+poloid onto a domain pretransformation magma: a faithful copy exactly
+when the right poloid is normal, and otherwise a strictly smaller normal
+right poloid, its normal reflection.  :func:`embed_right_poloid` is its
+injective case.  Second, for poloids, each translation gets as codomain
+the domain positions of the translation of x's effective left unit, so
+that the image composes exactly when the original products were
+defined: that checked upgrade is :func:`attach_codomains`, and with the
+transformation-poloid check of its image, the Cayley-style
+:func:`cayley_embedding`.
 
 Every constructor verifies the properties it is supposed to deliver,
 each once, and raises ``RuntimeError`` if any fails, so a successful
@@ -20,7 +20,7 @@ return value is a checked certificate, not a promise.  One helper builds
 each image and checks its structure map, by the same two scans as a
 morphism in :mod:`poloids.morphisms`; those scans also prove the image
 closed, and the phi_x equation, on domain positions, proves that the
-right poloid image holds Id on each member's domain.
+translation image holds Id on each member's domain.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ class Embedding:
 
     ``assignment[i]`` is the member index that element ``i`` maps to.
     For the verified constructors (``cayley_embedding``,
-    ``embed_right_poloid``) the assignment is a bijection onto the
-    members that preserves and reflects products; the translation map
-    of a non-normal right poloid is not injective.
+    ``left_translation_embedding``, ``embed_right_poloid``) the
+    assignment maps onto the members and preserves and reflects
+    products; it is injective except for the translation map of a
+    non-normal right poloid.
     """
 
     source: PartialMagma
@@ -110,15 +111,21 @@ def _upgraded(p: PartialMagma, report, maps: list, **messages):
 
 
 def left_translation_embedding(p: PartialMagma) -> Embedding:
-    """Each element as the prefunction t -> xt on the carrier.
+    """A right poloid onto its translation image: x as t -> xt.
 
     Requires a right poloid (so every translation is non-empty).  The
-    translation map preserves and reflects products but identifies
-    elements with equal translations; it is injective exactly on the
-    normal right poloids, in particular on every poloid.
+    checked structure map proves the image closed, and the translation
+    of phi_x is exactly Id on dom of x's translation, checked on domain
+    positions: so the image is a domain pretransformation magma.  The map
+    is injective exactly on the normal right poloids; the image of any
+    other is a strictly smaller normal right poloid.
     """
-    _classified(p, ("right_poloid", "not a right poloid"))
-    image, assignment = _checked_image(p, _translations(p), injective=False)
+    report = _classified(p, ("right_poloid", "not a right poloid"))
+    maps = _translations(p)
+    image, assignment = _checked_image(p, maps, injective=False)
+    for f, phi_x in zip(maps, report.phi):
+        if not (maps[phi_x].is_identity() and maps[phi_x]._dom == f._dom):
+            raise RuntimeError("translation of phi_x is not Id on dom of x's translation")
     return Embedding(p, image, assignment)
 
 
@@ -158,24 +165,15 @@ def cayley_embedding(p: PartialMagma) -> Embedding:
 
 
 def embed_right_poloid(p: PartialMagma) -> Embedding:
-    """A normal right poloid inside a domain pretransformation magma.
-
-    The image is the translation image together with the identity
-    prefunctions on the translations' domains; the two sets coincide
-    because the translation of phi_x is exactly Id on dom of x's
-    translation.  That equation, checked on domain positions, with the
-    closure of the checked image is the domain pretransformation magma
-    property.  Fails with the normality witness on a non-normal input,
-    where no injective translation map exists.
+    """A normal right poloid inside a domain pretransformation magma: its
+    :func:`left_translation_embedding`, which must be injective, so a
+    non-normal input fails with its normality witness.
     """
-    report = _classified(p, ("right_poloid", "not a right poloid"),
-                         ("normal", "not a normal right poloid ({})"))
-    maps = _translations(p)
-    for f, phi_x in zip(maps, report.phi):
-        if not (maps[phi_x].is_identity() and maps[phi_x]._dom == f._dom):
-            raise RuntimeError("translation of phi_x is not Id on dom of x's translation")
-    image, assignment = _checked_image(p, maps, injective=True)
-    return Embedding(p, image, assignment)
+    e = left_translation_embedding(p)
+    if e.image.size < p.size:
+        _classified(p, ("normal", "not a normal right poloid ({})"))
+        raise RuntimeError("embedding not injective")
+    return e
 
 
 def serialize_embedding(e: Embedding) -> str:

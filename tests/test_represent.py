@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -219,6 +219,58 @@ class TestEmbedRightPoloid:
                     assert e.member_for(phi[x]) == identity_pretransformation(
                         m.elements, f.domain
                     )
+
+
+def _right_poloids_for_the_reflection():
+    # every labelled right poloid on at most 3 elements, every class on 4
+    yield from (m for n in (1, 2, 3) for m in filtered(n, "right_poloid"))
+    yield from filtered(4, "right_poloid", up_to_iso=True)
+
+
+class TestNormalReflection:
+    # the translation image of any right poloid is its normal reflection
+
+    def test_image_is_a_normal_right_poloid(self):
+        seen = non_normal = 0
+        for m in _right_poloids_for_the_reflection():
+            e = left_translation_embedding(m)
+            q = as_partial_magma(e.image)
+            assert classify(q).verdicts["normal"]
+            normal = classify(m).verdicts["normal"]
+            assert (e.image.size < m.size) == (not normal)
+            if normal:
+                assert embed_right_poloid(m) == e
+            again = left_translation_embedding(q)
+            assert again.image.size == q.size
+            assert find_isomorphism(q, as_partial_magma(again.image)) is not None
+            seen += 1
+            non_normal += not normal
+        assert (seen, non_normal) == (440, 44)
+
+    def test_universal_property(self):
+        # every surjection onto a normal right poloid that preserves and
+        # reflects products is constant on the translation map's fibres
+        targets = [t for k in (1, 2, 3) for t in filtered(k, "normal", up_to_iso=True)]
+        maps_found = from_non_normal = 0
+        for n in (1, 2, 3):
+            for m in filtered(n, "right_poloid"):
+                fibre = left_translation_embedding(m).assignment
+                normal = classify(m).verdicts["normal"]
+                for t in targets:
+                    if t.size > n:
+                        continue
+                    for g in product(range(t.size), repeat=n):
+                        if len(set(g)) < t.size or not all(
+                            (m.table[x][y] is None) == (t.table[g[x]][g[y]] is None)
+                            and (m.table[x][y] is None or g[m.table[x][y]] == t.table[g[x]][g[y]])
+                            for x in range(n) for y in range(n)
+                        ):
+                            continue
+                        assert all(g[x] == g[y] for x in range(n) for y in range(n)
+                                   if fibre[x] == fibre[y])
+                        maps_found += 1
+                        from_non_normal += not normal
+        assert (maps_found, from_non_normal) == (341, 14)
 
 
 class TestRoundTrip:
@@ -593,9 +645,36 @@ class TestCertificates:
             left_translation_embedding(z2())
 
     def test_embed_right_poloid_rejects_wrong_translations(self, monkeypatch):
+        # one path: the structure-map check runs before the phi_x equation
         self._shifted_translations(monkeypatch)
-        with pytest.raises(RuntimeError, match="phi_x is not Id"):
+        with pytest.raises(RuntimeError, match="products not preserved"):
             embed_right_poloid(z2())
+
+    def test_left_translation_embedding_rejects_broken_phi_equation(self, monkeypatch):
+        # every element gets x's translation, the constant map onto x: the
+        # structure map still preserves and reflects, but phi_e = e is not
+        # sent to an identity
+        m = magma(["e", "x"], [["e", "x"], ["x", "x"]])
+        original = represent._translations
+        monkeypatch.setattr(represent, "_translations", lambda p: [original(p)[1]] * p.size)
+        with pytest.raises(RuntimeError, match="phi_x is not Id"):
+            left_translation_embedding(m)
+
+    @pytest.mark.parametrize("embed", [cayley_embedding, left_translation_embedding,
+                                       embed_right_poloid])
+    def test_each_embedding_classifies_once(self, monkeypatch, embed):
+        calls = [0]
+        original = represent.classify
+
+        def counted(m):
+            calls[0] += 1
+            return original(m)
+
+        monkeypatch.setattr(represent, "classify", counted)
+        for m in (trivial_group(), z2(), two_unit_groupoid(), pair_groupoid2()):
+            calls[0] = 0
+            embed(m)
+            assert calls[0] == 1
 
     def test_unpatched_constructors_pass(self):
         # the same inputs go through when nothing is corrupted
