@@ -102,15 +102,6 @@ RAW_BOUND = 3
 FILTERED_BOUND = 4
 ISO_BOUND = 5
 
-def matches(m: PartialMagma, verdict: str) -> bool:
-    """Whether the magma belongs to the named verdict class.
-
-    Reads only the facts that class needs.
-    """
-    if verdict not in VERDICT_NAMES:
-        raise ValueError(f"unknown class {verdict!r}")
-    return bool(getattr(_Analysis(m), verdict))
-
 
 def all_magmas(n: int) -> Iterator[PartialMagma]:
     """Every partial magma on n elements, in lexicographic table order.

@@ -401,10 +401,10 @@ def parse_map_magma(text: str) -> MapMagma:
     except ValueError:
         raise ParseError(f"unknown mode {rest.strip()!r}") from None
     body = lines[2:]
-    iso = body[body.index("iso:"):] if "iso:" in body else []
+    start = next((i for i, line in enumerate(body) if _heading(line, "iso") == ""), len(body))
 
     entries: list[list] = []  # [name, pairs, cod or None]
-    for line in body[:len(body) - len(iso)]:
+    for line in body[:start]:
         head, sep, rest = line.partition(":")
         if not sep:
             raise ParseError(f"expected 'map' or 'cod' line, got {line!r}")
@@ -424,7 +424,7 @@ def parse_map_magma(text: str) -> MapMagma:
             entries[-1][2] = tuple(rest.split())
 
     names = tuple(name for name, _, _ in entries)
-    for line in iso[1:]:
+    for line in body[start + 1:]:
         element, arrow, member = _split_arrow(line)
         if not arrow or not _valid_token(element) or not _valid_token(member):
             raise ParseError(f"expected '<element> -> <map>' in the iso block, got {line!r}")

@@ -332,7 +332,7 @@ def parse_morphism(src: PartialMagma, dst: PartialMagma, text: str) -> Morphism:
             i = src.index(a)
             j = dst.index(b)
         except KeyError as exc:
-            raise ParseError(str(exc)) from None
+            raise ParseError(exc.args[0]) from None
         if i in mapping:
             raise ParseError(f"element {a!r} mapped twice")
         mapping[i] = j

@@ -70,14 +70,13 @@ def _codomain_upgrade(translations: list, eps) -> list:
     return [_map(f.ground, f.values, translations[e]._dom) for f, e in zip(translations, eps)]
 
 
-def _classified(p: PartialMagma, *wanted):
-    """``classify(p)``, or ``PreconditionError`` at the first (verdict,
-    message) pair it fails; ``{}`` in a message stands for the witness."""
+def _classified(p: PartialMagma, verdict: str, message: str):
+    """``classify(p)``, or ``PreconditionError`` with ``message`` if ``p``
+    fails ``verdict``; ``{}`` in the message stands for the witness."""
     report = classify(p)
-    for verdict, message in wanted:
-        if not report.verdicts[verdict]:
-            witness = report.witness_for(verdict)
-            raise PreconditionError(message.format(witness.format(p.elements)), witness)
+    if not report.verdicts[verdict]:
+        witness = report.witness_for(verdict)
+        raise PreconditionError(message.format(witness.format(p.elements)), witness)
     return report
 
 
@@ -120,7 +119,7 @@ def left_translation_embedding(p: PartialMagma) -> Embedding:
     is injective exactly on the normal right poloids; the image of any
     other is a strictly smaller normal right poloid.
     """
-    report = _classified(p, ("right_poloid", "not a right poloid"))
+    report = _classified(p, "right_poloid", "not a right poloid")
     maps = _translations(p)
     image, assignment = _checked_image(p, maps, injective=False)
     for f, phi_x in zip(maps, report.phi):
@@ -138,7 +137,7 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
     translations do, and to send unit translations to identity
     transformations.
     """
-    report = _classified(p, ("poloid", "not a poloid"))
+    report = _classified(p, "poloid", "not a poloid")
     maps = _translations(p)
     if set(maps) != set(translations.members) or translations.mode is not Mode.SUPSET:
         raise PreconditionError("map magma is not this poloid's translation image")
@@ -153,7 +152,7 @@ def cayley_embedding(p: PartialMagma) -> Embedding:
     :func:`attach_codomains`, whose image is then verified to pass the
     transformation semigroupoid and transformation poloid checks.
     """
-    report = _classified(p, ("poloid", "not a poloid"))
+    report = _classified(p, "poloid", "not a poloid")
     image, assignment = _upgraded(p, report, _translations(p))
     try:  # also runs the closure and transformation-semigroupoid checks
         poloid = is_transformation_poloid(image)
@@ -171,7 +170,7 @@ def embed_right_poloid(p: PartialMagma) -> Embedding:
     """
     e = left_translation_embedding(p)
     if e.image.size < p.size:
-        _classified(p, ("normal", "not a normal right poloid ({})"))
+        _classified(p, "normal", "not a normal right poloid ({})")
         raise RuntimeError("embedding not injective")
     return e
 

@@ -27,8 +27,8 @@ from poloids import (
     right_units,
     units,
 )
-from poloids.enumeration import ELEMENT_NAMES, all_magmas, matches
-from poloids.classify import VERDICT_NAMES, classify
+from poloids.enumeration import ELEMENT_NAMES, all_magmas
+from poloids.classify import VERDICT_NAMES, _Analysis, classify
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -52,6 +52,11 @@ def magma(names, rows):
         tuple(None if cell is None else index[cell] for cell in row) for row in rows
     )
     return PartialMagma(names, table)
+
+
+def in_class(m, name) -> bool:
+    """Whether m is in the verdict class ``name``, read from its analysis."""
+    return bool(getattr(_Analysis(m), name))
 
 
 def to_flat(m):
@@ -221,14 +226,13 @@ def _outcome(view, m):
 
 
 def view_disagreements(m, report) -> list[str]:
-    """The ``matches`` classes and public views that disagree with the report."""
+    """The public views that disagree with the report."""
     verdicts = report.verdicts
 
     def expected(name):
         return True if verdicts[name] else report.witness_for(name)
 
-    wrong = [c for c in VERDICT_NAMES if matches(m, c) is not verdicts[c]]
-    wrong += [n for n, v in _WITNESS_VIEWS.items() if _outcome(v, m) != ("value", expected(n))]
+    wrong = [n for n, v in _WITNESS_VIEWS.items() if _outcome(v, m) != ("value", expected(n))]
     wrong += [n for n, v in _BOOL_VIEWS.items() if _outcome(v, m) != ("value", verdicts[n])]
     for name, view in (("units", units), ("left_units", left_units), ("right_units", right_units)):
         if view(m) != getattr(report, name):
@@ -255,8 +259,8 @@ def small_census():
     ``digest`` is a sha256 over each table's ``classify(m).to_dict()`` as
     compact JSON, one line per table in enumeration order;
     ``by_class[c]`` lists the flat 3-element tables in class c, by
-    verdict; ``disagreements`` pairs each table on which ``matches`` or a
-    public view disagrees with the report with the disagreeing names.
+    verdict; ``disagreements`` pairs each table on which a public view
+    disagrees with the report with the disagreeing names.
     The views are checked on every table with at most 2 elements, on the
     first 3-element table of each distinct report and on every 16th one:
     calling all of them on all 262,143 tables would triple the pass.

@@ -27,6 +27,19 @@ GAP_MAGMA = (
     "map g: 1->1 2->2\n"
 )
 
+EMBEDDED_TWO_UNIT = (  # what embed writes for TWO_UNIT
+    "set: e1 e2\n"
+    "mode: supset\n"
+    "map e1: e1->e1\n"
+    "cod e1: e1\n"
+    "map e2: e2->e2\n"
+    "cod e2: e2\n"
+    "iso:\n"
+    "e1 -> e1\n"
+    "e2 -> e2\n"
+)
+IDENTITY_HOM = "hom: e1 -> e1\nhom: e2 -> e2\n"  # on TWO_UNIT
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -87,6 +100,20 @@ class TestClassify:
         spaced = capsys.readouterr().out
         main(["classify", write("gap.maps", GAP_MAGMA)])
         assert spaced == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "head", ["elements:", "set:", "mode:", "map e1:", "cod e1:", "iso:", "hom:"])
+    def test_every_heading_allows_a_space_before_its_colon(self, write, capsys, head):
+        text = {"elements:": TWO_UNIT, "hom:": IDENTITY_HOM}.get(head, EMBEDDED_TWO_UNIT)
+        spaced = text.replace(head, head[:-1] + " :")
+        assert spaced != text
+        src, outs = write("two.magma", TWO_UNIT), []
+        for name, body in (("plain", text), ("spaced", spaced)):
+            path = write(name, body)
+            argv = ["check-hom", src, src, path] if head == "hom:" else ["classify", path]
+            assert main(argv) == 0, capsys.readouterr().err
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_missing_file(self, capsys):
         assert main(["classify", "no-such-file"]) == 2
@@ -468,6 +495,14 @@ class TestCheckHom:
         src = write("arrows.magma", ARROW_NAMES)
         assert main(["check-hom", src, src, write("id.hom", text)]) == 0
         assert capsys.readouterr().out == "homomorphism: yes\nreflects_definedness: yes\n"
+
+    @pytest.mark.parametrize("text", [
+        "hom: zz -> e1\nhom: e2 -> e2\n", "hom: e1 -> zz\nhom: e2 -> e2\n",
+    ], ids=["source", "target"])
+    def test_unknown_element(self, write, capsys, text):
+        src = write("a.magma", TWO_UNIT)
+        assert main(["check-hom", src, src, write("zz.hom", text)]) == 2
+        assert capsys.readouterr().err == "error: unknown element 'zz'\n"
 
     def test_non_poloid_source(self, write, capsys):
         src = write("rz.magma", RIGHT_ZERO)

@@ -14,10 +14,9 @@ from poloids.enumeration import (
     canonical_form,
     count_by_class,
     filtered,
-    matches,
 )
 
-from conftest import from_flat, relabel, to_flat
+from conftest import from_flat, in_class, relabel, to_flat
 
 
 class TestAllMagmas:
@@ -104,7 +103,7 @@ class TestFiltered:
         brute = {}
         for m in all_magmas(2):
             for name in VERDICT_NAMES:
-                if matches(m, name):
+                if in_class(m, name):
                     brute.setdefault(name, []).append(to_flat(m))
         for name in VERDICT_NAMES:
             pruned = [to_flat(m) for m in filtered(2, name)]
@@ -155,11 +154,11 @@ class TestFiltered:
         assert len(found) == len(built) == yielded
         assert checked == []
         for m in found:
-            assert matches(m, name)
+            assert in_class(m, name)
             assert classify(m).verdicts[name]
 
     def test_no_leaf_is_checked(self, monkeypatch):
-        # the walk is exact for every class, so it never asks matches
+        # the walk is exact for every class, so it builds no analysis
         built, checked = spy_on_leaves(monkeypatch)
         for name in (None, *VERDICT_NAMES):
             for up_to_iso in (False, True):
@@ -171,13 +170,6 @@ class TestFiltered:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             next(filtered(2, "flock"))
-
-    @pytest.mark.parametrize("name", ["lefts", "phi", "preorder", "verdict", "flock"])
-    def test_matches_knows_only_the_verdict_classes(self, name):
-        # the analysis holds facts that are not classes, such as the left
-        # units, which are truthy on any magma that has one
-        with pytest.raises(ValueError, match=f"^unknown class '{name}'$"):
-            matches(PartialMagma(("a",), ((0,),)), name)
 
     def test_total_filter(self):
         totals = list(filtered(2, "total"))
@@ -206,7 +198,7 @@ class TestFiltered:
         # two group structures times relabelings: check against the
         # classifier instead of a closed formula
         groups = list(filtered(4, "group"))
-        assert all(matches(m, "group") for m in groups)
+        assert all(in_class(m, "group") for m in groups)
         assert len(groups) > 0
         forms = {canonical_form(m) for m in groups}
         assert len(forms) == 2  # the cyclic group and the double-swap group
@@ -214,20 +206,21 @@ class TestFiltered:
 
 class TestTotalityPrune:
     # the classes that imply total never try an undefined cell; the
-    # oracle is the poloid walk, which does try them, filtered by matches
+    # oracle is the poloid walk, which does try them, filtered by their
+    # analyses
 
     def test_labelled_at_four_elements(self):
         poloids = list(filtered(4, "poloid"))
         for name, count in (("monoid", 624), ("group", 16)):
             found = list(filtered(4, name))
-            assert found == [m for m in poloids if matches(m, name)], name
+            assert found == [m for m in poloids if in_class(m, name)], name
             assert len(found) == count, name
 
     def test_up_to_isomorphism_at_five_elements(self, poloids_at_five):
         assert len(poloids_at_five) == 329
         for name, count in (("monoid", 228), ("group", 1)):
             found = list(filtered(5, name, up_to_iso=True))
-            assert found == [m for m in poloids_at_five if matches(m, name)], name
+            assert found == [m for m in poloids_at_five if in_class(m, name)], name
             assert len(found) == count, name
 
     def test_filtered_never_lists_every_table(self, monkeypatch):
@@ -245,17 +238,17 @@ class TestTotalityPrune:
 class TestCancellationPrune:
     # groupoids and groups never repeat a defined value in a row or a
     # column; the oracle is the poloid walk, which has no such prune,
-    # filtered by matches
+    # filtered by their analyses
 
     def test_labelled_groupoids_at_four_elements(self):
         found = list(filtered(4, "groupoid"))
-        assert found == [m for m in filtered(4, "poloid") if matches(m, "groupoid")]
+        assert found == [m for m in filtered(4, "poloid") if in_class(m, "groupoid")]
         assert len(found) == 65
 
     def test_up_to_isomorphism_at_five_elements(self, poloids_at_five):
         for name, count in (("groupoid", 9), ("group", 1)):
             found = list(filtered(5, name, up_to_iso=True))
-            assert found == [m for m in poloids_at_five if matches(m, name)], name
+            assert found == [m for m in poloids_at_five if in_class(m, name)], name
             assert len(found) == count, name
 
 
@@ -267,10 +260,10 @@ class TestRightUnitPrune:
 
     def test_normal_classes_at_five_elements(self, right_poloids_at_five):
         # the left-unit clash prune against the right_poloid walk, which
-        # does not use it, filtered by matches
+        # does not use it, filtered by their analyses
         for name in ("normal", "unit_posetal"):
             found = list(filtered(5, name, up_to_iso=True))
-            assert found == [m for m in right_poloids_at_five if matches(m, name)], name
+            assert found == [m for m in right_poloids_at_five if in_class(m, name)], name
             assert len(found) == 2364, name
 
     def test_normal_iff_unit_posetal_beyond_three_elements(self, right_poloids_at_five):
@@ -290,24 +283,24 @@ class TestRightUnitPrune:
         directed = list(filtered(4, "right_directed_semigroupoid", up_to_iso=True))
         for name in self.RIGHT_POLOID_CLASSES:
             found = list(filtered(4, name, up_to_iso=True))
-            assert found == [m for m in directed if matches(m, name)], name
+            assert found == [m for m in directed if in_class(m, name)], name
 
 
 class TestOracleChainAtFiveElements:
     # each pruned walk up to isomorphism equals the walk one law weaker
-    # filtered by matches; every class is closed under relabelling, so its
-    # least tables are the least ones of the weaker class that it holds;
-    # this is a second method for the three counts, and it checks the
-    # two-sided, phi and unit prunes at five elements
+    # filtered by their analyses; every class is closed under relabelling,
+    # so its least tables are the least ones of the weaker class that it
+    # holds; this is a second method for the three counts, and it checks
+    # the two-sided, phi and unit prunes at five elements
 
     def test_each_walk_is_the_one_law_weaker_walk_filtered(
             self, right_poloids_at_five, poloids_at_five):
         directed = list(filtered(5, "right_directed_semigroupoid", up_to_iso=True))
         assert len(directed) == 62374
         semigroupoids = list(filtered(5, "semigroupoid", up_to_iso=True))
-        assert semigroupoids == [m for m in directed if matches(m, "semigroupoid")]
-        assert right_poloids_at_five == [m for m in directed if matches(m, "right_poloid")]
-        assert poloids_at_five == [m for m in semigroupoids if matches(m, "poloid")]
+        assert semigroupoids == [m for m in directed if in_class(m, "semigroupoid")]
+        assert right_poloids_at_five == [m for m in directed if in_class(m, "right_poloid")]
+        assert poloids_at_five == [m for m in semigroupoids if in_class(m, "poloid")]
         assert (len(semigroupoids), len(right_poloids_at_five), len(poloids_at_five)) == (
             4118, 2632, 329)
 
@@ -371,7 +364,7 @@ class TestCounts:
         # groups: 2 and 3; classical enumeration values
         for n, semigroups, groups in ((2, 8, 2), (3, 113, 3)):
             total_assoc = sum(
-                1 for m in filtered(n, "total") if matches(m, "semigroupoid")
+                1 for m in filtered(n, "total") if in_class(m, "semigroupoid")
             )
             assert total_assoc == semigroups
             assert sum(1 for _ in filtered(n, "group")) == groups
@@ -504,15 +497,15 @@ def poloids_at_five():
 
 
 def spy_on_leaves(monkeypatch):
-    """Record the leaf tables the walk builds and the magmas it checks."""
+    """Record the leaf tables the walk builds and the magmas it analyses."""
     module = importlib.import_module("poloids.enumeration")
     built, checked = [], []
-    real_build, real_check = module._built, module.matches
+    real_build, real_analysis = module._built, module._Analysis
     monkeypatch.setattr(
         module, "_built", lambda names, table: built.append(table) or real_build(names, table)
     )
     monkeypatch.setattr(
-        module, "matches", lambda m, name: checked.append(m) or real_check(m, name)
+        module, "_Analysis", lambda m: checked.append(m) or real_analysis(m)
     )
     return built, checked
 

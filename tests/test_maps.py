@@ -619,6 +619,14 @@ class TestArrowsInPoints:
             a = MapMagma(points, (f,))
             assert parse_map_magma(serialize_map_magma(a)).members == (f,)
 
+    def test_colliding_default_names_are_primed_and_round_trip(self):
+        # a->b>c and a>b->c both render [a>b>c]; the later member is primed
+        points = ("a", "b>c", "a>b", "c")
+        a = MapMagma(points, (Prefunction(points, {"a>b": "c"}), Prefunction(points, {"a": "b>c"})))
+        assert a.member_names() == ("[a>b>c]", "[a>b>c]'")
+        back = parse_map_magma(serialize_map_magma(a))
+        assert (back.members, back.member_names()) == (a.members, a.member_names())
+
     def test_ambiguous_pair_is_named(self):
         with pytest.raises(ParseError, match=r"map 'f': ambiguous pair 'a->b->c'"):
             parse_map_magma("set: a b->c a->b c\nmode: supset\nmap f: a->b->c\n")
@@ -632,6 +640,11 @@ class TestArrowsInPoints:
     def test_iso_line_splits_at_whitespace(self, line):
         text = "set: a->b\nmode: supset\nmap f: a->b->a->b\niso:\n" + line + "\n"
         assert parse_map_magma(text).member_names() == ("f",)
+
+    def test_iso_heading_with_a_line_after_its_colon_is_bad_input(self):
+        # the block starts at a bare 'iso:' or 'iso :'
+        with pytest.raises(ParseError, match=r"^expected 'map <name>:' or 'cod <name>:'"):
+            parse_map_magma("set: x\nmode: supset\nmap f: x->x\niso: x -> f\n")
 
     @pytest.mark.parametrize("line", ["x->f", "x ->f", "x-> f", "x -> f"])
     def test_iso_lines_without_arrows_in_names_read_as_before(self, line):
