@@ -82,7 +82,10 @@ class _Analysis:
     verdict and verdicts chain with ``and``.  No fact refuses: off a
     right poloid, ``normal``, ``preorder`` and ``unit_posetal`` are the
     ``phi`` witness.  ``semigroupoid`` reads the one-sided law and scans
-    only for the one failure that law lacks.
+    only for the one failure that law lacks.  ``preorder`` is read only
+    by its two views, ``natural_preorder`` and
+    ``is_meet_semilattice_on_left_units``; ``unit_posetal`` reads the
+    table cells that decide it.
     """
 
     def __init__(self, m: PartialMagma):
@@ -252,12 +255,14 @@ class _Analysis:
 
     @_fact
     def unit_posetal(self):
-        if not (leq := self.preorder):
-            return leq
-        lefts = self.lefts
+        """Antisymmetry on the left units, read off the table: for left
+        units a < b, a <= b and b <= a iff b.a and a.b are both defined."""
+        if not (phi := self.phi):
+            return phi
+        t, lefts = self.m.table, self.lefts
         for a in lefts:
             for b in lefts:
-                if a < b and leq[a][b] and leq[b][a]:
+                if a < b and t[a][b] is not None and t[b][a] is not None:
                     return Witness("antisymmetry", (a, b))
         return True
 
@@ -461,7 +466,7 @@ class ClassReport:
             elif isinstance(value, dict):
                 out.append(f"{key}: " + " ".join(f"{k}->{v}" for k, v in value.items()))
             elif value is not None:
-                out.append(f"{key}: " + " ".join(value))
+                out.append(" ".join([f"{key}:", *value]))
         return "\n".join(out) + "\n"
 
 

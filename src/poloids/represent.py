@@ -10,17 +10,24 @@ right poloid, its normal reflection.  :func:`embed_right_poloid` is its
 injective case.  Second, for poloids, each translation gets as codomain
 the domain positions of the translation of x's effective left unit, so
 that the image composes exactly when the original products were
-defined: that checked upgrade is :func:`attach_codomains`, and with the
-transformation-poloid check of its image, the Cayley-style
-:func:`cayley_embedding`.
+defined: that checked upgrade is :func:`attach_codomains`, and the
+Cayley-style :func:`cayley_embedding`.
 
 Every constructor verifies the properties it is supposed to deliver,
 each once, and raises ``RuntimeError`` if any fails, so a successful
-return value is a checked certificate, not a promise.  One helper builds
-each image and checks its structure map, by the same two scans as a
-morphism in :mod:`poloids.morphisms`; those scans also prove the image
-closed, and the phi_x equation, on domain positions, proves that the
-translation image holds Id on each member's domain.
+return value is a checked certificate, not a promise.  Every image has
+the same certificate, checked by one helper: the structure map, by the
+same two scans as a morphism in :mod:`poloids.morphisms`, which also
+prove the image closed, and the phi_x equation on domain positions (the
+translation of phi_x is an identity whose domain is that of x's
+translation), which puts Id on each member's domain in the image.  For
+a poloid's upgraded translations that certificate makes the image a
+transformation poloid: there phi_x = vareps_x, and preserving
+eps_x.x = x, a composite that takes its left operand's codomain, makes
+the codomain of x's translation the domain of the identity eps_x is
+sent to.  So Id on each member's codomain is a member too, a defined
+composite f_x.f_y has dom(f_x) = cod(f_y), and no embedding checks
+closure or identities again.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from .maps import (
     MapMagma,
     Mode,
     _map,
-    is_transformation_poloid,
     serialize_map_magma,
 )
 from .morphisms import _preserves, _reflects
@@ -80,11 +86,12 @@ def _classified(p: PartialMagma, verdict: str, message: str):
     return report
 
 
-def _checked_image(p: PartialMagma, maps: list, injective: bool,
+def _checked_image(p: PartialMagma, maps: list, phi, injective: bool,
                    changed="products not preserved", lost="definedness not reflected"):
     """The image of x -> maps[x], named by the elements if injective, and its
-    assignment, checked to be injective if asked and to preserve and reflect;
-    as every member is some maps[x], those two checks also prove it closed."""
+    assignment, checked to be injective if asked, to preserve and reflect
+    (as every member is some maps[x], that proves it closed), and to send
+    phi_x to an identity on the domain of maps[x], for every x."""
     members = tuple(dict.fromkeys(maps))
     one_to_one = len(members) == p.size
     if injective and not one_to_one:
@@ -95,36 +102,29 @@ def _checked_image(p: PartialMagma, maps: list, injective: bool,
         raise RuntimeError(changed)
     if not _reflects(p.table, image.table, assignment):
         raise RuntimeError(lost)
+    for f, phi_x in zip(maps, phi):
+        if not (maps[phi_x].is_identity() and maps[phi_x]._dom == f._dom):
+            raise RuntimeError("translation of phi_x is not Id on dom of x's translation"
+                               " (an identity transformation or pretransformation)")
     return image, assignment
 
 
 def _upgraded(p: PartialMagma, report, maps: list, **messages):
-    """The checked image of a poloid's upgraded translations, whose units
-    must become identity transformations."""
+    """The checked image of a poloid's upgraded translations."""
     upgraded = _codomain_upgrade(maps, report.eps)
-    image, assignment = _checked_image(p, upgraded, injective=True, **messages)
-    for e in report.units:
-        if not upgraded[e].is_identity():
-            raise RuntimeError("unit translation did not become an identity transformation")
-    return image, assignment
+    return _checked_image(p, upgraded, report.phi, injective=True, **messages)
 
 
 def left_translation_embedding(p: PartialMagma) -> Embedding:
     """A right poloid onto its translation image: x as t -> xt.
 
     Requires a right poloid (so every translation is non-empty).  The
-    checked structure map proves the image closed, and the translation
-    of phi_x is exactly Id on dom of x's translation, checked on domain
-    positions: so the image is a domain pretransformation magma.  The map
-    is injective exactly on the normal right poloids; the image of any
+    checked image is a domain pretransformation magma.  The map is
+    injective exactly on the normal right poloids; the image of any
     other is a strictly smaller normal right poloid.
     """
     report = _classified(p, "right_poloid", "not a right poloid")
-    maps = _translations(p)
-    image, assignment = _checked_image(p, maps, injective=False)
-    for f, phi_x in zip(maps, report.phi):
-        if not (maps[phi_x].is_identity() and maps[phi_x]._dom == f._dom):
-            raise RuntimeError("translation of phi_x is not Id on dom of x's translation")
+    image, assignment = _checked_image(p, _translations(p), report.phi, injective=False)
     return Embedding(p, image, assignment)
 
 
@@ -132,10 +132,11 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
     """Upgrade a poloid's translation prefunctions to partial functions.
 
     The codomain of the upgrade of x's translation is the domain of the
-    translation of x's effective left unit.  The upgrade is verified to
-    be injective, to preserve and reflect ``p``'s products, as the
-    translations do, and to send unit translations to identity
-    transformations.
+    translation of x's effective left unit.  The upgrade gets the
+    certificate of every translation image: it is verified to be
+    injective, to preserve and reflect ``p``'s products, as the
+    translations do, and to send each phi_x, so each unit, to an
+    identity transformation, which makes it a transformation poloid.
     """
     report = _classified(p, "poloid", "not a poloid")
     maps = _translations(p)
@@ -146,21 +147,10 @@ def attach_codomains(p: PartialMagma, translations: MapMagma) -> MapMagma:
 
 
 def cayley_embedding(p: PartialMagma) -> Embedding:
-    """A poloid as a transformation poloid on its own carrier.
-
-    The checked codomain upgrade of the translations, as in
-    :func:`attach_codomains`, whose image is then verified to pass the
-    transformation semigroupoid and transformation poloid checks.
-    """
+    """A poloid as a transformation poloid on its own carrier: the checked
+    codomain upgrade of the translations, as in :func:`attach_codomains`."""
     report = _classified(p, "poloid", "not a poloid")
-    image, assignment = _upgraded(p, report, _translations(p))
-    try:  # also runs the closure and transformation-semigroupoid checks
-        poloid = is_transformation_poloid(image)
-    except PreconditionError as exc:
-        raise RuntimeError(f"image is not a closed transformation semigroupoid: {exc}") from None
-    if not poloid:
-        raise RuntimeError("image is not a transformation poloid")
-    return Embedding(p, image, assignment)
+    return Embedding(p, *_upgraded(p, report, _translations(p)))
 
 
 def embed_right_poloid(p: PartialMagma) -> Embedding:

@@ -252,6 +252,37 @@ class TestNaturalPreorder:
             for e in units(m):
                 assert leq[e][e]
 
+    def test_unit_posetal_is_antisymmetry_of_the_preorder(self):
+        # the verdict reads two cells per pair of left units; the oracle
+        # reads the natural preorder itself
+        seen = 0
+        for m in filtered(4, "right_poloid", up_to_iso=True):
+            leq, lefts = natural_preorder(m), classify(m).left_units
+            clash = next(((a, b) for a in lefts for b in lefts
+                          if a < b and leq[a][b] and leq[b][a]), None)
+            want = True if clash is None else Witness("antisymmetry", clash)
+            assert is_unit_posetal(m) == want
+            seen += 1
+        assert seen == 268
+
+    def test_only_its_views_read_the_preorder(self, monkeypatch, poloid_corpus):
+        reads = [0]
+        fact = _Analysis.preorder
+
+        def counted(a):
+            reads[0] += 1
+            return fact.__get__(a)
+
+        monkeypatch.setattr(_Analysis, "preorder", property(counted))
+        right_poloids = [m for n in (1, 2, 3) for m in filtered(n, "right_poloid")]
+        for m in poloid_corpus + right_poloids:
+            classify(m)
+        assert reads[0] == 0
+        for view in (natural_preorder, is_meet_semilattice_on_left_units):
+            reads[0] = 0
+            view(z2())
+            assert reads[0] == 1
+
 
 class TestMeetSemilattice:
     def test_overlapping_identities_have_no_meet(self):

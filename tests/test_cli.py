@@ -180,6 +180,15 @@ class TestClassify:
             "  group: extra-unit e1,e2\n"
         )
 
+    def test_empty_lists_print_no_trailing_space(self, write, capsys):
+        path = write("rz.magma", RIGHT_ZERO)
+        main(["classify", path])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[11:14] == ["units:", "left_units: x y", "right_units:"]
+        main(["classify", "--json", path])
+        report = json.loads(capsys.readouterr().out)
+        assert (report["units"], report["right_units"]) == ([], [])
+
     def test_deterministic(self, write, capsys):
         path = write("rz.magma", RIGHT_ZERO)
         main(["classify", path])

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -659,6 +659,52 @@ class TestCertificates:
         monkeypatch.setattr(represent, "_translations", lambda p: [original(p)[1]] * p.size)
         with pytest.raises(RuntimeError, match="phi_x is not Id"):
             left_translation_embedding(m)
+
+    @staticmethod
+    def _corrupted_codomain(monkeypatch, x, cod):
+        # x's upgraded translation gets the codomain ``cod`` instead
+        original = represent._codomain_upgrade
+
+        def corrupted(translations, eps):
+            upgraded = original(translations, eps)
+            f = upgraded[x]
+            upgraded[x] = PartialFn(f.pre, cod)
+            return upgraded
+
+        monkeypatch.setattr(represent, "_codomain_upgrade", corrupted)
+
+    def test_cayley_refuses_every_wrong_codomain(self, monkeypatch):
+        # the structure map and the phi_x equation are the whole certificate
+        # of a transformation poloid: each member's codomain in turn gets
+        # every other value that holds its image, on every poloid class
+        # with at most 4 elements
+        classes = [m for n in (1, 2, 3, 4) for m in filtered(n, "poloid", up_to_iso=True)]
+        returned, refused = [], 0
+        for m in classes:
+            e = cayley_embedding(m)
+            for x in range(m.size):
+                f = e.member_for(x)
+                for k in range(1, m.size + 1):
+                    for cod in combinations(m.elements, k):
+                        if cod == f.codomain or not set(f.image) <= set(cod):
+                            continue
+                        with monkeypatch.context() as patch:
+                            self._corrupted_codomain(patch, x, cod)
+                            try:
+                                returned.append(cayley_embedding(m))
+                            except RuntimeError:
+                                refused += 1
+        assert (len(classes), refused, returned) == (70, 747, [])
+
+    def test_cayley_refuses_a_wrong_non_unit_codomain(self, monkeypatch):
+        # a: e -> f; its translation's codomain must be dom of f's, {f, a}
+        m = parse_magma("elements: e f a\ne: e - -\nf: - f a\na: a - -\n")
+        assert "cod a: f a" in serialize_map_magma(cayley_embedding(m).image)
+        for cod in (("a",), ("e", "a"), ("e", "f", "a")):
+            with monkeypatch.context() as patch:
+                self._corrupted_codomain(patch, 2, cod)
+                with pytest.raises(RuntimeError, match="products not preserved"):
+                    cayley_embedding(m)
 
     @pytest.mark.parametrize("embed", [cayley_embedding, left_translation_embedding,
                                        embed_right_poloid])
