@@ -1,13 +1,15 @@
 """Axiom checkers for the partial-magma hierarchy and the combined report.
 
-Every fact about a magma (its units and effective units, the two triple
-laws, the unit maps eps and vareps, inverses, phi, normality, the
-natural preorder) is worked out in one place, a private analysis of that
-magma that computes each fact at most once and only when it is first
-read; facts answer and never refuse.  The public checkers are views that
-read one fact from a fresh analysis, :func:`classify` reads every fact
-from a single one, and views refuse: off its domain, a view defined on
-(right) poloids raises ``PreconditionError`` with the fact's witness.
+Every fact that :func:`classify` reports (the units and effective units,
+the two triple laws, the unit maps eps and vareps, inverses, phi,
+normality) is worked out in one place, a private analysis of that magma
+that computes each fact at most once and only when it is first read;
+facts answer and never refuse.  The public checkers are views that read
+one fact from a fresh analysis, :func:`classify` reads every fact from a
+single one, and views refuse: off its domain, a view defined on (right)
+poloids raises ``PreconditionError`` with the fact's witness.  The
+natural preorder is no fact: only :func:`natural_preorder` builds it,
+and the left-unit order is read off the table (last theorem below).
 
 Checkers return ``True`` or a falsy :class:`~poloids.tables.Witness`; the
 witness names the elements whose replay against the table reproduces the
@@ -75,17 +77,15 @@ class _Analysis:
     """The facts about one partial magma, each computed at most once and
     only when it is first read.
 
-    A verdict fact (named as in ``CLASS_LAWS``) is ``True`` or the
-    first witness against it; a data fact (``unit_maps``, ``inverses``,
-    ``phi``, ``preorder``) is the data or the witness that rules it out.
-    Witnesses are falsy and data is not, so ``data and True`` is the
-    verdict and verdicts chain with ``and``.  No fact refuses: off a
-    right poloid, ``normal``, ``preorder`` and ``unit_posetal`` are the
-    ``phi`` witness.  ``semigroupoid`` reads the one-sided law and scans
-    only for the one failure that law lacks.  ``preorder`` is read only
-    by its two views, ``natural_preorder`` and
-    ``is_meet_semilattice_on_left_units``; ``unit_posetal`` reads the
-    table cells that decide it.
+    It holds exactly the facts :func:`classify` reports.  A verdict fact
+    (named as in ``CLASS_LAWS``) is ``True`` or the first witness against
+    it; a data fact (``unit_maps``, ``inverses``, ``phi``) is the data or
+    the witness that rules it out.  Witnesses are falsy and data is not,
+    so ``data and True`` is the verdict and verdicts chain with ``and``.
+    No fact refuses: off a right poloid, ``normal`` and ``unit_posetal``
+    are the ``phi`` witness.  ``semigroupoid`` reads the one-sided law
+    and scans only for the one failure that law lacks.  ``unit_posetal``
+    reads the table cells that decide it.
     """
 
     def __init__(self, m: PartialMagma):
@@ -238,22 +238,6 @@ class _Analysis:
         return True
 
     @_fact
-    def preorder(self):
-        if not (phi := self.phi):
-            return phi
-        t = self.m.table
-        n = self.m.size
-        leq = tuple(tuple(t[y][phi[x]] == x for y in range(n)) for x in range(n))
-        for x in range(n):
-            if not leq[x][x]:
-                raise RuntimeError("natural preorder not reflexive")
-            for y in range(n):
-                for z in range(n):
-                    if leq[x][y] and leq[y][z] and not leq[x][z]:
-                        raise RuntimeError("natural preorder not transitive")
-        return leq
-
-    @_fact
     def unit_posetal(self):
         """Antisymmetry on the left units, read off the table: for left
         units a < b, a <= b and b <= a iff b.a and a.b are both defined."""
@@ -369,7 +353,17 @@ def natural_preorder(m: PartialMagma) -> tuple[tuple[bool, ...], ...]:
 
     Reflexive and transitive on every right poloid; both are verified.
     """
-    return _require(_Analysis(m).preorder, "not a right poloid")
+    phi = phi_map(m)
+    t, n = m.table, m.size
+    leq = tuple(tuple(t[y][phi[x]] == x for y in range(n)) for x in range(n))
+    for x in range(n):
+        if not leq[x][x]:
+            raise RuntimeError("natural preorder not reflexive")
+        for y in range(n):
+            for z in range(n):
+                if leq[x][y] and leq[y][z] and not leq[x][z]:
+                    raise RuntimeError("natural preorder not transitive")
+    return leq
 
 
 def is_unit_posetal(m: PartialMagma):
@@ -379,15 +373,17 @@ def is_unit_posetal(m: PartialMagma):
 
 
 def is_meet_semilattice_on_left_units(m: PartialMagma) -> bool:
-    """Whether every pair of left units has a greatest lower bound."""
+    """Whether every pair of left units has a greatest lower bound in
+    the natural preorder, read off the table: for left units c and d,
+    c <= d iff d.c is defined (the last theorem of the module docstring)."""
     a = _Analysis(m)
     _require(a.phi, "not a right poloid")
     _require(a.unit_posetal, "left-unit order is not a partial order")
-    leq, lefts = a.preorder, a.lefts
+    t, lefts = m.table, a.lefts
     for x in lefts:
         for y in lefts:
-            lower = [c for c in lefts if leq[c][x] and leq[c][y]]
-            if not any(all(leq[c][d] for c in lower) for d in lower):
+            lower = [c for c in lefts if t[x][c] is not None and t[y][c] is not None]
+            if not any(all(t[d][c] is not None for c in lower) for d in lower):
                 return False
     return True
 

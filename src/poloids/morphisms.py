@@ -7,10 +7,11 @@ reflects definedness does its image inherit the poloid structure.
 
 Each rule is checked in one place: :func:`_preserves` and :func:`_reflects`
 are the two halves of a structure map, scanned whole for morphisms and the
-embeddings of :mod:`poloids.represent`, and checked cell by cell by the
-isomorphism search as it places elements; :func:`_restrict` builds the
-magma on a subset, closure checked, for subpoloids and images; and the
-constructors check the rest, an :class:`ActionSpec`'s maps too.
+embeddings of :mod:`poloids.represent` (:func:`is_isomorphism` needs only
+the first), and checked cell by cell by the isomorphism search as it places
+elements; :func:`_restrict` builds the magma on a subset, closure checked,
+for subpoloids and images; and the constructors check the rest, an
+:class:`ActionSpec`'s maps too.
 """
 
 from __future__ import annotations
@@ -137,13 +138,14 @@ def is_isomorphism(m: Morphism) -> bool:
     Between poloids it always does, as a functor bijective on arrows is an
     isomorphism: xy is defined exactly when vareps_x = eps_y (xe, ey defined
     make xy defined), and f carries vareps_x, eps_y to vareps_f(x), eps_f(y),
-    so f(x)f(y) defined pulls back by injectivity.  Off poloids it may not."""
+    so f(x)f(y) defined pulls back by injectivity.  Off poloids it may not.
+    :func:`_homomorphism` verifies the carrying, so reflection is not scanned."""
     if m.source.size != m.target.size or len(set(m.mapping)) != m.source.size:
         return False
     src, tgt = _Analysis(m.source), _Analysis(m.target)
     if not src.poloid or not tgt.poloid:
         return False
-    return bool(_homomorphism(m, src, tgt)) and bool(reflects_definedness(m))
+    return bool(_homomorphism(m, src, tgt))
 
 
 def _profiles(m: PartialMagma):

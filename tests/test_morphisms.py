@@ -194,6 +194,23 @@ class TestIsomorphism:
         assert is_isomorphism(Morphism(source, target, (0, 2, 1)))
         assert sorted(map(id, analysed)) == sorted([id(source), id(target)])
 
+    def test_no_second_definedness_scan(self, monkeypatch, poloid_corpus):
+        # between poloids a bijective homomorphism reflects definedness,
+        # so is_isomorphism never scans for it
+        calls = [0]
+        scan = morphisms.reflects_definedness
+
+        def counted(m):
+            calls[0] += 1
+            return scan(m)
+
+        monkeypatch.setattr(morphisms, "reflects_definedness", counted)
+        for m in poloid_corpus:
+            assert is_isomorphism(identity_morphism(m))
+            for f in permutations(range(m.size)):
+                is_isomorphism(Morphism(m, m, f))
+        assert calls[0] == 0
+
     def test_agrees_with_two_way_definition(self):
         # oracle: bijective between poloids, and a homomorphism both ways,
         # the inverse built here; every total map between same-size
