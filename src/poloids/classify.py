@@ -5,11 +5,12 @@ the two triple laws, the unit maps eps and vareps, inverses, phi,
 normality) is worked out in one place, a private analysis of that magma
 that computes each fact at most once and only when it is first read;
 facts answer and never refuse.  The public checkers are views that read
-one fact from a fresh analysis, :func:`classify` reads every fact from a
-single one, and views refuse: off its domain, a view defined on (right)
-poloids raises ``PreconditionError`` with the fact's witness.  The
-natural preorder is no fact: only :func:`natural_preorder` builds it,
-and the left-unit order is read off the table (last theorem below).
+one verdict or fact from a fresh analysis, :func:`classify` reads every
+verdict from a single one, and views refuse: off its domain, a view
+defined on (right) poloids raises ``PreconditionError`` with the fact's
+witness.  The natural preorder is no fact: only
+:func:`natural_preorder` builds it, and the left-unit order is read off
+the table (last theorem below).
 
 Checkers return ``True`` or a falsy :class:`~poloids.tables.Witness`; the
 witness names the elements whose replay against the table reproduces the
@@ -17,20 +18,22 @@ failure, always the first failure in lexicographic index order.  The
 one-sided triple law has one statement, ``_one_sided_break``: its fact
 scans it cell by cell and ``enumeration.count_by_class`` replays it.
 
-``CLASS_LAWS`` declares each verdict class once, as the set of analysis
-facts it is the conjunction of, and class A implies class B iff A's laws
-include B's; constraint-programming enumerations of semigroups declare
-their classes as constraint sets the same way (Distler et al., "The
-semigroups of order 10", CP 2012).  A set may hold a fact that another
-of its facts implies, so that a reader such as the walk of
-``enumeration.filtered`` can test each law on its own.  The sets rest on
-four theorems:
+``CLASS_LAWS`` declares each verdict class once, as the tuple of
+analysis facts it is the conjunction of, in the order its verdict reads
+them: the witness of the first that fails, or ``True``.  Class A implies
+class B iff A's laws include B's; constraint-programming enumerations of
+semigroups declare their classes as constraint sets the same way
+(Distler et al., "The semigroups of order 10", CP 2012).  A tuple may
+hold a fact that an earlier one implies, so that a reader such as the
+walk of ``enumeration.filtered`` can test each law on its own.  The
+tuples rest on four theorems:
 
 - a poloid is a normal right poloid: vareps_x is a left unit with
   x.vareps_x = x, the left units are the units (l = l.vareps_l =
   vareps_l), and two units e != f never compose (ef = f and ef = e);
-- a total poloid has exactly one unit, since units e != f never compose,
-  so a monoid is a total poloid and a group a total groupoid;
+- a poloid is total iff it has exactly one unit: units e != f never
+  compose, and xe, ey defined make xy defined; so a monoid is a total
+  poloid and a group a total groupoid, each with one unit;
 - a finite cancellative semigroup is a group, so in a total
   semigroupoid cancellation alone gives the unit and the inverses:
   translations are injective, hence onto, so ae = a for some e;
@@ -52,23 +55,22 @@ from dataclasses import dataclass
 
 from .tables import PartialMagma, Witness, _fact, _require, left_units, right_units
 
-_POLOID_LAWS = frozenset(
-    {"right_directed_semigroupoid", "semigroupoid", "phi", "normal", "unit_maps"}
-)
-_NORMAL_LAWS = frozenset({"right_directed_semigroupoid", "phi", "normal"})
+_RIGHT_POLOID_LAWS = ("phi", "right_directed_semigroupoid")
+_POLOID_LAWS = ("unit_maps", "semigroupoid", *_RIGHT_POLOID_LAWS, "normal", "unit_posetal")
 
-# each verdict class, in report order, as the facts it is the conjunction of
+# each verdict class, in report order, as the facts it is the conjunction
+# of, in the order its verdict reads them
 CLASS_LAWS = {
-    "semigroupoid": frozenset({"right_directed_semigroupoid", "semigroupoid"}),
+    "semigroupoid": ("semigroupoid", "right_directed_semigroupoid"),
     "poloid": _POLOID_LAWS,
-    "groupoid": _POLOID_LAWS | {"inverses"},
-    "total": frozenset({"total"}),
-    "monoid": _POLOID_LAWS | {"total"},
-    "group": _POLOID_LAWS | {"inverses", "total"},
-    "right_directed_semigroupoid": frozenset({"right_directed_semigroupoid"}),
-    "right_poloid": frozenset({"right_directed_semigroupoid", "phi"}),
-    "normal": _NORMAL_LAWS,
-    "unit_posetal": _NORMAL_LAWS,
+    "groupoid": ("inverses", *_POLOID_LAWS),
+    "total": ("total",),
+    "monoid": ("one_unit", "total", *_POLOID_LAWS),
+    "group": ("inverses", "one_unit", "total", *_POLOID_LAWS),
+    "right_directed_semigroupoid": ("right_directed_semigroupoid",),
+    "right_poloid": _RIGHT_POLOID_LAWS,
+    "normal": ("normal", "unit_posetal", *_RIGHT_POLOID_LAWS),
+    "unit_posetal": ("unit_posetal", "normal", *_RIGHT_POLOID_LAWS),
 }
 VERDICT_NAMES = tuple(CLASS_LAWS)
 
@@ -77,19 +79,25 @@ class _Analysis:
     """The facts about one partial magma, each computed at most once and
     only when it is first read.
 
-    It holds exactly the facts :func:`classify` reports.  A verdict fact
-    (named as in ``CLASS_LAWS``) is ``True`` or the first witness against
-    it; a data fact (``unit_maps``, ``inverses``, ``phi``) is the data or
-    the witness that rules it out.  Witnesses are falsy and data is not,
-    so ``data and True`` is the verdict and verdicts chain with ``and``.
-    No fact refuses: off a right poloid, ``normal`` and ``unit_posetal``
-    are the ``phi`` witness.  ``semigroupoid`` reads the one-sided law
-    and scans only for the one failure that law lacks.  ``unit_posetal``
-    reads the table cells that decide it.
+    It holds exactly the facts :func:`classify` reports, and
+    :meth:`verdict` reads each class off them.  A fact is ``True``, or
+    its data (``unit_maps``, ``inverses``, ``phi``), where it holds and
+    the first witness against it where not; witnesses are falsy and data
+    is not.  No fact refuses: off a right poloid, ``normal`` and
+    ``unit_posetal`` are the ``phi`` witness.  ``semigroupoid`` reads the
+    one-sided law and scans only for the one failure that law lacks.
+    ``unit_posetal`` reads the table cells that decide it.
     """
 
     def __init__(self, m: PartialMagma):
         self.m = m
+
+    def verdict(self, name: str):
+        """The witness of the first fact of class ``name`` to fail, or ``True``."""
+        for law in CLASS_LAWS[name]:
+            if not (found := getattr(self, law)):
+                return found
+        return True
 
     @_fact
     def lefts(self) -> tuple[int, ...]:
@@ -155,10 +163,6 @@ class _Analysis:
             vareps.append(rights[0])
         return tuple(eps), tuple(vareps)
 
-    @property
-    def poloid(self):
-        return self.unit_maps and True
-
     @_fact
     def inverses(self):
         data = self.unit_maps
@@ -178,10 +182,6 @@ class _Analysis:
                 raise RuntimeError("inverse does not meet the effective-unit identities")
         return tuple(inverses)
 
-    @property
-    def groupoid(self):
-        return self.inverses and True
-
     @_fact
     def total(self):
         for x, row in enumerate(self.m.table):
@@ -190,17 +190,12 @@ class _Analysis:
                     return Witness("undefined-cell", (x, y))
         return True
 
-    def _one_unit(self):
+    @_fact
+    def one_unit(self):
+        if not (data := self.unit_maps):
+            return data
         u = self.units
         return True if len(u) == 1 else Witness("extra-unit", u[:2])
-
-    @property
-    def monoid(self):
-        return self.poloid and self._one_unit() and self.total
-
-    @property
-    def group(self):
-        return self.groupoid and self._one_unit()
 
     @_fact
     def phi(self):
@@ -221,10 +216,6 @@ class _Analysis:
             if t[l][l] != l:
                 raise RuntimeError("left unit not idempotent in a right poloid")
         return tuple(phi)
-
-    @property
-    def right_poloid(self):
-        return self.phi and True
 
     @_fact
     def normal(self):
@@ -271,7 +262,8 @@ def _one_sided_break(t, x, y, zs):
 
 
 def is_total(m: PartialMagma) -> bool:
-    return bool(_Analysis(m).total)
+    """Whether every product is defined."""
+    return bool(_Analysis(m).verdict("total"))
 
 
 def is_semigroupoid(m: PartialMagma):
@@ -281,18 +273,18 @@ def is_semigroupoid(m: PartialMagma):
     The trigger for (x, y, z) is: xy and yz defined, or (xy)z defined,
     or x(yz) defined, the one trigger the one-sided law lacks.
     """
-    return _Analysis(m).semigroupoid
+    return _Analysis(m).verdict("semigroupoid")
 
 
 def is_right_directed_semigroupoid(m: PartialMagma):
     """One-sided triple law: triggered by (xy)z defined or by xy and yz
     defined, never by x(yz) alone."""
-    return _Analysis(m).right_directed_semigroupoid
+    return _Analysis(m).verdict("right_directed_semigroupoid")
 
 
 def is_poloid(m: PartialMagma):
     """Semigroupoid in which every element has effective units on both sides."""
-    return _Analysis(m).poloid
+    return _Analysis(m).verdict("poloid")
 
 
 def units(m: PartialMagma) -> tuple[int, ...]:
@@ -319,22 +311,23 @@ def effective_unit_maps(m: PartialMagma) -> tuple[tuple[int, ...], tuple[int, ..
 
 def is_groupoid(m: PartialMagma):
     """Poloid with a unique two-sided inverse for every element."""
-    return _Analysis(m).groupoid
+    return _Analysis(m).verdict("groupoid")
 
 
 def is_monoid(m: PartialMagma) -> bool:
     """Poloid with a single unit; totality is verified, not assumed."""
-    return bool(_Analysis(m).monoid)
+    return bool(_Analysis(m).verdict("monoid"))
 
 
 def is_group(m: PartialMagma) -> bool:
-    return bool(_Analysis(m).group)
+    """Groupoid with a single unit, which makes it total."""
+    return bool(_Analysis(m).verdict("group"))
 
 
 def is_right_poloid(m: PartialMagma):
     """Right-directed semigroupoid with a unique local right unit
     phi_x among the left units, for every x."""
-    return _Analysis(m).right_poloid
+    return _Analysis(m).verdict("right_poloid")
 
 
 def phi_map(m: PartialMagma) -> tuple[int, ...]:
@@ -345,7 +338,7 @@ def phi_map(m: PartialMagma) -> tuple[int, ...]:
 def is_normal(m: PartialMagma):
     """Whether phi_x.phi_y and phi_y.phi_x both defined forces phi_x = phi_y."""
     a = _Analysis(m)
-    return _require(a.phi, "not a right poloid") and a.normal
+    return _require(a.phi, "not a right poloid") and a.verdict("normal")
 
 
 def natural_preorder(m: PartialMagma) -> tuple[tuple[bool, ...], ...]:
@@ -369,7 +362,7 @@ def natural_preorder(m: PartialMagma) -> tuple[tuple[bool, ...], ...]:
 def is_unit_posetal(m: PartialMagma):
     """Antisymmetry of the natural preorder restricted to left units."""
     a = _Analysis(m)
-    return _require(a.phi, "not a right poloid") and a.unit_posetal
+    return _require(a.phi, "not a right poloid") and a.verdict("unit_posetal")
 
 
 def is_meet_semilattice_on_left_units(m: PartialMagma) -> bool:
@@ -378,7 +371,7 @@ def is_meet_semilattice_on_left_units(m: PartialMagma) -> bool:
     c <= d iff d.c is defined (the last theorem of the module docstring)."""
     a = _Analysis(m)
     _require(a.phi, "not a right poloid")
-    _require(a.unit_posetal, "left-unit order is not a partial order")
+    _require(a.verdict("unit_posetal"), "left-unit order is not a partial order")
     t, lefts = m.table, a.lefts
     for x in lefts:
         for y in lefts:
@@ -473,7 +466,7 @@ def classify(m: PartialMagma) -> ClassReport:
     verdicts: dict[str, bool] = {}
     witnesses: list[tuple[str, Witness]] = []
     for name in VERDICT_NAMES:
-        result = getattr(a, name)
+        result = a.verdict(name)
         verdicts[name] = result is True
         if result is not True:
             witnesses.append((name, result))

@@ -63,7 +63,9 @@ exactly one phi_x per x.  In a right poloid every left unit l has
 l.l = l, so phi_l = l and phi's image is exactly the left units; so a
 right poloid is normal iff no two left units l != r have l.r and r.l
 both defined.  In a semigroupoid each x has at most one unit on each
-side, so the effective units fix the unit maps.  The walk decodes each
+side, so the effective units fix the unit maps.  No law needs a prune
+of its own past these: ``one_unit`` holds in every total poloid, and
+``unit_posetal`` in every normal right poloid.  The walk decodes each
 leaf from its flat cells itself, and every cell it chose is an index or
 undefined, so the leaf is built without the constructor's check, as are
 the tables of ``all_magmas``.
@@ -151,7 +153,7 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     """
     if verdict is not None and verdict not in VERDICT_NAMES:
         raise ValueError(f"unknown class {verdict!r}")
-    laws = CLASS_LAWS[verdict] if verdict else frozenset()
+    laws = CLASS_LAWS[verdict] if verdict else ()
     pruned = "right_directed_semigroupoid" in laws
     bound = RAW_BOUND if not pruned else ISO_BOUND if up_to_iso else FILTERED_BOUND
     if not 1 <= n <= bound:

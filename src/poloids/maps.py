@@ -394,6 +394,10 @@ def parse_map_magma(text: str) -> MapMagma:
     for p in points:
         if not _valid_token(p):
             raise ParseError(f"invalid point token {p!r}")
+    try:  # here, so that no map takes the blame for the set line
+        _read(points, ())
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if (rest := _heading(lines[1], "mode")) is None:
         raise ParseError("second line must be a 'mode:' line")
     try:

@@ -105,8 +105,8 @@ def _homomorphism(m: Morphism, src: _Analysis, tgt: _Analysis):
     for e in src.units:
         if f[e] not in target_units:
             return Witness("unit-image", (e,))
-    if tgt.poloid:
-        tgt_eps, tgt_vareps = tgt.unit_maps
+    if tgt_maps := tgt.unit_maps:
+        tgt_eps, tgt_vareps = tgt_maps
         for x in range(m.source.size):
             if f[src_eps[x]] != tgt_eps[f[x]]:
                 raise RuntimeError("effective left units not respected")
@@ -127,7 +127,7 @@ def image_poloid(m: Morphism) -> PartialMagma:
     result = _restrict(m.target, sorted(set(m.mapping)))
     if not result:
         raise RuntimeError(f"image of a reflecting homomorphism is {result.kind} in the target")
-    if not _Analysis(result).poloid:
+    if not _Analysis(result).verdict("poloid"):
         raise RuntimeError("image of a reflecting homomorphism must be a poloid")
     return result
 
@@ -143,7 +143,7 @@ def is_isomorphism(m: Morphism) -> bool:
     if m.source.size != m.target.size or len(set(m.mapping)) != m.source.size:
         return False
     src, tgt = _Analysis(m.source), _Analysis(m.target)
-    if not src.poloid or not tgt.poloid:
+    if not src.unit_maps or not tgt.unit_maps:
         return False
     return bool(_homomorphism(m, src, tgt))
 
@@ -236,7 +236,7 @@ def is_subpoloid(p: PartialMagma, subset):
     if not magma:
         return magma
     restricted = _Analysis(magma)
-    poloid = restricted.poloid
+    poloid = restricted.verdict("poloid")
     if not poloid:
         return Witness(poloid.kind, tuple(sub[i] for i in poloid.elements))
     global_units = set(_Analysis(p).units)

@@ -11,6 +11,7 @@ import pytest
 from poloids import (
     PartialMagma,
     PreconditionError,
+    Witness,
     effective_unit_maps,
     is_group,
     is_groupoid,
@@ -56,7 +57,29 @@ def magma(names, rows):
 
 def in_class(m, name) -> bool:
     """Whether m is in the verdict class ``name``, read from its analysis."""
-    return bool(getattr(_Analysis(m), name))
+    return bool(_Analysis(m).verdict(name))
+
+
+def _one_unit(a):
+    u = a.units
+    return True if len(u) == 1 else Witness("extra-unit", u[:2])
+
+
+# each verdict class written out by hand as a chain of analysis facts, the
+# first failure's witness being the verdict's: a reference for the order
+# of the facts in CLASS_LAWS, which _Analysis.verdict reads
+REFERENCE_CHAINS = {
+    "semigroupoid": lambda a: a.semigroupoid,
+    "poloid": lambda a: a.unit_maps and True,
+    "groupoid": lambda a: a.inverses and True,
+    "total": lambda a: a.total,
+    "monoid": lambda a: a.unit_maps and _one_unit(a) and a.total,
+    "group": lambda a: a.inverses and _one_unit(a),
+    "right_directed_semigroupoid": lambda a: a.right_directed_semigroupoid,
+    "right_poloid": lambda a: a.phi and True,
+    "normal": lambda a: a.normal,
+    "unit_posetal": lambda a: a.unit_posetal,
+}
 
 
 def to_flat(m):
@@ -226,13 +249,17 @@ def _outcome(view, m):
 
 
 def view_disagreements(m, report) -> list[str]:
-    """The public views that disagree with the report."""
+    """The public views, and the reference chains, that disagree with
+    the report."""
     verdicts = report.verdicts
 
     def expected(name):
         return True if verdicts[name] else report.witness_for(name)
 
-    wrong = [n for n, v in _WITNESS_VIEWS.items() if _outcome(v, m) != ("value", expected(n))]
+    reference, analysis = _Analysis(m), _Analysis(m)
+    wrong = [f"reference {n}" for n, chain in REFERENCE_CHAINS.items()
+             if not chain(reference) == analysis.verdict(n) == expected(n)]
+    wrong += [n for n, v in _WITNESS_VIEWS.items() if _outcome(v, m) != ("value", expected(n))]
     wrong += [n for n, v in _BOOL_VIEWS.items() if _outcome(v, m) != ("value", verdicts[n])]
     for name, view in (("units", units), ("left_units", left_units), ("right_units", right_units)):
         if view(m) != getattr(report, name):
@@ -260,7 +287,8 @@ def small_census():
     compact JSON, one line per table in enumeration order;
     ``by_class[c]`` lists the flat 3-element tables in class c, by
     verdict; ``disagreements`` pairs each table on which a public view
-    disagrees with the report with the disagreeing names.
+    or a reference chain disagrees with the report with the disagreeing
+    names.
     The views are checked on every table with at most 2 elements, on the
     first 3-element table of each distinct report and on every 16th one:
     calling all of them on all 262,143 tables would triple the pass.

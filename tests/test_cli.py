@@ -240,6 +240,11 @@ class TestConstructorRulesInFiles:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rule", ["empty-ground-set", "duplicate-ground-point"])
+    def test_ground_set_is_blamed_on_no_map(self, write, capsys, rule):
+        assert main(["classify", write("bad.txt", _CONSTRUCTOR_RULES[rule])]) == 2
+        assert capsys.readouterr().err == "error: ground set must be non-empty and duplicate-free\n"
+
 
 # Layout rules that the parsers check themselves, one file breaking each.
 _LAYOUT_RULES = {

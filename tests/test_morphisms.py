@@ -224,7 +224,7 @@ class TestIsomorphism:
             if n != m.target.size or len(set(m.mapping)) != n:
                 return False
             src, tgt = _Analysis(m.source), _Analysis(m.target)
-            if not src.poloid or not tgt.poloid:
+            if not src.verdict("poloid") or not tgt.verdict("poloid"):
                 return False
             inverse = [0] * n
             for x, y in enumerate(m.mapping):
