@@ -8,8 +8,10 @@ defect in this package rather than in the input).  Each file is checked
 by its parser and the constructors it calls, and by nothing here.
 
 The parser is built once, on the first call of ``main``, as it costs more
-than most requests of a program that calls ``main`` many times.  It holds
-no handler: ``main`` looks each up in ``_COMMANDS`` per call, so rebinding
+than most requests of a program that calls ``main`` many times.  A call is
+parsed once, by its command's own parser (the full parser reports what that
+leaves over, and parses a call that starts with no command).  No parser holds
+a handler: ``main`` looks each up in ``_COMMANDS`` per call, so rebinding
 a ``cmd_*`` function there, as a tracer does and undoes, takes effect at once.
 """
 
@@ -34,7 +36,7 @@ EXIT_INTERNAL = 4
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
+        return Path(path).read_bytes().decode("utf-8-sig")  # a leading BOM is dropped
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -154,6 +156,11 @@ def cmd_iso(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser, which it dispatches to."""
     parser = argparse.ArgumentParser(
         prog="poloids",
         description="classify, embed, enumerate and compose finite partial algebraic structures",
@@ -193,16 +200,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="search for an isomorphism between two magmas")
     p.add_argument("a")
     p.add_argument("b")
-    return parser
+    return parser, sub.choices  # each command's parser, by name
 
 
-_parser = cache(build_parser)
+_parsers = cache(_build)
 _COMMANDS = {"classify": cmd_classify, "embed": cmd_embed, "enumerate": cmd_enumerate,
              "compose": cmd_compose, "check-hom": cmd_check_hom, "iso": cmd_iso}
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed once: by its command's own parser, if it starts with one."""
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, OSError) as exc:

@@ -26,9 +26,11 @@ decides whether it is defined.  In every regime but OVERLAP that
 preimage is the domain of g.  For functions the codomain is cod(f).
 Members are kept in a canonical order (domain, then values, then
 codomain, as ground positions) so that rendering a map magma as a
-Cayley table is deterministic.  Each pair of members is composed once,
-into :attr:`MapMagma.table`, which every check on composites reads; the
-identity checks compare the domain positions of identity members.
+Cayley table is deterministic.  Each pair of members is composed once, on
+positions, into :attr:`MapMagma.table`, which every check on composites
+reads and which builds no map: the builder runs only for a composite
+asked for by name.  The identity checks compare the domain positions of
+identity members.
 Each rule on maps is checked once, by its constructor (ground set,
 assignment, codomain, one kind of distinct members with distinct names);
 :func:`parse_map_magma` checks the layout and reports theirs as ``ParseError``.
@@ -165,17 +167,10 @@ def identity_transformation(ground, dom) -> PartialFn:
     return PartialFn(identity_pretransformation(ground, dom), tuple(dom))
 
 
-def compose_maps(f, g, mode: Mode = Mode.SUPSET):
-    """The composite f.g under ``mode``, or None when it is undefined.
-
-    Both maps must live on the same ground set and be of the same kind.
-    """
-    if f.ground != g.ground:
-        raise ValueError("maps live on different ground sets")
-    f_fn = isinstance(f, PartialFn)
-    if f_fn != isinstance(g, PartialFn):
-        raise ValueError("cannot compose a prefunction with a function")
-    h = tuple(None if v is None else f.values[v] for v in g.values)
+def _composite(f, g, mode: Mode) -> tuple | None:
+    """The values of f.g under ``mode``, or None; f and g as :func:`compose_maps` checks."""
+    fv = f.values
+    h = tuple([None if v is None else fv[v] for v in g.values])
     if mode is Mode.SUPSET:  # h is None where g is, and elsewhere iff g leaves dom(f)
         defined = h.count(None) == g.values.count(None)
     elif mode is Mode.OVERLAP:  # h is already the restriction to the preimage
@@ -183,12 +178,29 @@ def compose_maps(f, g, mode: Mode = Mode.SUPSET):
     elif mode is Mode.EXACT_IMAGE:
         defined = set(f._dom) == set(g.values) - {None}
     elif mode is Mode.CODOMAIN:
-        if not f_fn:
-            raise ValueError("codomain composition needs functions")
         defined = f._dom == g._cod
     else:  # pragma: no cover
         raise ValueError(mode)
-    return _map(f.ground, h, f._cod if f_fn else None) if defined else None
+    return h if defined else None
+
+
+def compose_maps(f, g, mode: Mode = Mode.SUPSET):
+    """The composite f.g under ``mode``, or None when it is undefined.
+
+    Both maps must live on the same ground set and be of the same kind.
+    The builder's two checks cannot fail on a defined composite: in every
+    regime but OVERLAP its domain is dom(g), and OVERLAP defines it only
+    when it is non-empty; its image lies in im(f), which lies in cod(f).
+    """
+    if f.ground != g.ground:
+        raise ValueError("maps live on different ground sets")
+    f_fn = isinstance(f, PartialFn)
+    if f_fn != isinstance(g, PartialFn):
+        raise ValueError("cannot compose a prefunction with a function")
+    if mode is Mode.CODOMAIN and not f_fn:
+        raise ValueError("codomain composition needs functions")
+    h = _composite(f, g, mode)
+    return None if h is None else _map(f.ground, h, f._cod if f_fn else None)
 
 
 def _member_key(m):
@@ -252,10 +264,15 @@ class MapMagma:
     @_fact
     def table(self) -> tuple[tuple, ...]:
         """``table[i][j]`` is the member index of ``members[i] . members[j]``,
-        ``None`` where it is undefined, or ``OUTSIDE`` where it is not a member."""
-        index = {m: i for i, m in enumerate(self.members)}
-        rows = ((compose_maps(f, g, self.mode) for g in self.members) for f in self.members)
-        return tuple(tuple(c if c is None else index.get(c, OUTSIDE) for c in row) for row in rows)
+        ``None`` where it is undefined, or ``OUTSIDE`` where it is not a member;
+        each composite is looked up by its values and codomain, as no map is built."""
+        index = {(m.values, getattr(m, "_cod", None)): i for i, m in enumerate(self.members)}
+        rows = []
+        for f in self.members:
+            cod = getattr(f, "_cod", None)  # the codomain of every composite f.g
+            row = [_composite(f, g, self.mode) for g in self.members]
+            rows.append(tuple(h if h is None else index.get((h, cod), OUTSIDE) for h in row))
+        return tuple(rows)
 
     def member_names(self) -> tuple[str, ...]:
         """File/report names: the given ones, or synthesized defaults."""

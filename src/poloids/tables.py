@@ -20,17 +20,19 @@ makes valid by construction; its docstring states what a caller owes it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParseError, PreconditionError
 
-# Whitespace separates tokens, ':' ends row labels, '#' starts comments.
-_TOKEN_FORBIDDEN = set(" \t\r\n\f\v:#")
+# Whitespace separates tokens and lines (any character ``str.split`` or
+# ``str.splitlines`` breaks at), ':' ends row labels, '#' starts comments.
+_TOKEN_BREAK = re.compile(r"[\s:#]")
 
 
 def _valid_token(tok: str) -> bool:
-    return bool(tok) and tok != "-" and _TOKEN_FORBIDDEN.isdisjoint(tok)
+    return bool(tok) and tok != "-" and _TOKEN_BREAK.search(tok) is None
 
 
 def _is_index(v, n: int) -> bool:

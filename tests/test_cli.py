@@ -579,6 +579,7 @@ class TestParserReuse:
             raise AssertionError("parser built twice")
 
         monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        monkeypatch.setattr(cli, "_build", no_rebuild)
         for argv, code, err in [
             (["frobnicate"], 2, "invalid choice"),
             (["enumerate", "--filter", "poloid"], 2, "-n"),
@@ -602,6 +603,80 @@ class TestParserReuse:
     def test_handler_is_looked_up_per_call(self, write, capsys, monkeypatch):
         monkeypatch.setitem(cli._COMMANDS, "classify", lambda args: 7)
         assert main(["classify", write("z2.magma", Z2)]) == 7
+
+
+class TestOneParsePerCall:
+    # a call that starts with a command is parsed by that command's own
+    # parser alone, with the same exit code, stdout and stderr as the full
+    # parser's parse followed by the handler
+
+    @staticmethod
+    def _full_parse(argv):
+        return cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["class", "x"], ["classify"], ["classify", "no-such-file"],
+        ["classify", "--bogus", "Z2"], ["classify", "Z2", "--bogus"], ["classify", "--", "Z2"],
+        ["classify", "Z2", "--", "--json"], ["--"], ["--", "classify", "Z2"], ["-h"],
+        ["classify", "-h"], ["classify", "Z2", "--he"], ["enumerate", "-n=2"], ["enumerate", "-n2"],
+        ["enumerate", "-n", "x"], ["classify", "--js", "Z2"], ["classify", "Z2", "extra"],
+        ["classify", "Z2", "a", "--b", "-c"], ["compose", "MAPS", "f", "g", "h"],
+        ["compose", "MAPS", "f"], ["iso", "Z2", "Z2", "Z2"], ["-x", "classify", "Z2"],
+    ])
+    def test_same_outcome_as_the_full_parse(self, write, capsys, monkeypatch, argv):
+        files = {"Z2": write("z2.magma", Z2), "MAPS": write("gap.maps", GAP_MAGMA)}
+        argv = [files.get(a, a) for a in argv]
+
+        def run():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return code, *capsys.readouterr()
+
+        once = run()
+        monkeypatch.setattr(cli, "_parse", self._full_parse)
+        assert run() == once
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--json", "x"], ["embed", "x", "--pre", "-o", "y"], ["embed", "x"],
+        ["enumerate", "-n2", "--filter", "poloid", "--up-to-iso"], ["enumerate", "-n", "1"],
+        ["compose", "m", "f", "g"], ["check-hom", "a", "b", "c"], ["iso", "a", "b"],
+    ])
+    def test_same_arguments_as_the_full_parse(self, argv):
+        assert cli._parse(argv) == self._full_parse(argv)
+
+    @pytest.mark.parametrize("ending, bom", [("\r\n", b""), ("\r", b""), ("\r\n", b"\xef\xbb\xbf")])
+    def test_line_endings_and_bom(self, tmp_path, capsys, ending, bom):
+        texts = {"z2.magma": Z2, "two.magma": TWO_UNIT, "gap.maps": GAP_MAGMA,
+                 "ids.maps": OVERLAPPING_IDS, "id.hom": IDENTITY_HOM}
+        requests = [["classify", "--json", "z2.magma"], ["classify", "gap.maps"],
+                    ["classify", "--json", "ids.maps"], ["compose", "gap.maps", "g", "f"],
+                    ["check-hom", "two.magma", "two.magma", "id.hom"], ["iso", "z2.magma", "z2.magma"]]
+        outcomes = []
+        for name, end, prefix in (("lf", "\n", b""), ("other", ending, bom)):
+            (tmp_path / name).mkdir()
+            for file, text in texts.items():
+                (tmp_path / name / file).write_bytes(prefix + text.replace("\n", end).encode())
+            runs = []
+            for argv in requests:
+                code = main([str(tmp_path / name / a) if a in texts else a for a in argv])
+                runs.append((code, *capsys.readouterr()))
+            outcomes.append(runs)
+        assert [code for code, _, _ in outcomes[0]] == [0] * len(requests)
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_offset_of_a_bad_byte(self, tmp_path, capsys, bom):
+        path = tmp_path / "bad.magma"
+        path.write_bytes(bom + b"elements: a b c\xff\n")
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (invalid start byte at byte 15)\n")
+
+    def test_directory(self, tmp_path, capsys):
+        assert main(["classify", f"{tmp_path}/"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 _TOKENS = ("elements:", "set:", "mode:", "supset", "codomain", "map", "cod", "hom:", "iso:",

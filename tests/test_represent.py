@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -32,6 +33,7 @@ from poloids import (
     serialize_map_magma,
 )
 from poloids import maps, represent
+from poloids.maps import OUTSIDE, Mode
 from poloids.cli import main
 from poloids.enumeration import filtered
 from poloids.morphisms import ISO_SEARCH_BOUND
@@ -413,6 +415,14 @@ def _missing_identity(a: MapMagma, identities):
     return True
 
 
+@cache
+def _pair_closures(full: MapMagma) -> tuple:
+    """The ground of ``full``, and the closures under composition alone of
+    each pair of its members: they hold no identity by design."""
+    pairs = combinations_with_replacement(full.members, 2)
+    return full.ground, {_closure(pair, lambda f: ()) for pair in pairs}
+
+
 class TestIdentitiesByPosition:
     # the identity checks compare positions; here they are run against the
     # same check on points, over closures that hold no identity by design
@@ -425,9 +435,7 @@ class TestIdentitiesByPosition:
             assert verdict == Witness("missing-unit", (reference,))
 
     def test_domain_pretransformation_magma(self):
-        points = (1, 2, 3)
-        pres = full_pretransformation_magma(points).members
-        closures = {_closure(pair, lambda f: ()) for pair in combinations_with_replacement(pres, 2)}
+        points, closures = _pair_closures(full_pretransformation_magma((1, 2, 3)))
         assert len(closures) == 1637
         missing = 0
         for members in closures:
@@ -438,9 +446,7 @@ class TestIdentitiesByPosition:
         assert missing == 1449
 
     def test_transformation_poloid(self):
-        points = (1, 2)
-        fns = full_transformation_magma(points).members
-        closures = {_closure(pair, lambda f: ()) for pair in combinations_with_replacement(fns, 2)}
+        points, closures = _pair_closures(full_transformation_magma((1, 2)))
         assert len(closures) == 99
         semigroupoids = missing = 0
         for members in closures:
@@ -464,13 +470,13 @@ class TestComposesEachPairOnce:
     @staticmethod
     def _spy(monkeypatch):
         calls = [0]
-        original = maps.compose_maps
+        original = maps._composite
 
-        def counted(f, g, mode=maps.Mode.SUPSET):
+        def counted(f, g, mode):
             calls[0] += 1
             return original(f, g, mode)
 
-        monkeypatch.setattr(maps, "compose_maps", counted)
+        monkeypatch.setattr(maps, "_composite", counted)
         return calls
 
     @pytest.mark.parametrize("embed", [cayley_embedding, embed_right_poloid])
@@ -488,6 +494,48 @@ class TestComposesEachPairOnce:
         assert main(["classify", str(path)]) == 0
         assert "poloid: yes" in capsys.readouterr().out
         assert calls[0] == pair_groupoid2().size ** 2
+
+
+def _reference_table(a: MapMagma) -> tuple:
+    """``a.table`` built from composite maps, each looked up among the members."""
+    def cell(f, g):
+        h = compose_maps(f, g, a.mode)
+        return None if h is None else a.member_index(h) if h in a.members else OUTSIDE
+
+    return tuple(tuple(cell(f, g) for g in a.members) for f in a.members)
+
+
+class TestTableKernel:
+    # the table composes positions and looks each composite up by its
+    # values and codomain; it equals the table of composite maps
+
+    PRE_MODES = (Mode.SUPSET, Mode.OVERLAP, Mode.EXACT_IMAGE)
+
+    def _check(self, a: MapMagma, modes) -> int:
+        """How many OUTSIDE cells ``a`` has, re-read in each of ``modes``."""
+        outside = 0
+        for mode in modes:
+            b = MapMagma(a.ground, a.members, mode)
+            assert b.table == _reference_table(b)
+            outside += sum(row.count(OUTSIDE) for row in b.table)
+        return outside
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_full_pretransformation_magmas(self, n):
+        self._check(full_pretransformation_magma(range(n)), self.PRE_MODES)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_full_transformation_magmas(self, n):
+        self._check(full_transformation_magma(range(n)), (*self.PRE_MODES, Mode.CODOMAIN))
+
+    def test_pair_closures(self):
+        outside = 0
+        for full, modes in ((full_pretransformation_magma((1, 2, 3)), self.PRE_MODES),
+                            (full_transformation_magma((1, 2)), (*self.PRE_MODES, Mode.CODOMAIN))):
+            points, closures = _pair_closures(full)
+            for members in closures:
+                outside += self._check(MapMagma(points, tuple(members)), modes)
+        assert outside > 0
 
 
 class TestBuiltFromPositions:
@@ -659,6 +707,14 @@ class TestCertificates:
         monkeypatch.setattr(represent, "_translations", lambda p: [original(p)[1]] * p.size)
         with pytest.raises(RuntimeError, match="phi_x is not Id"):
             left_translation_embedding(m)
+
+    def test_checked_image_rejects_lost_definedness(self):
+        # a.b is undefined, but Id{a,b} . Id{a} is defined: every product
+        # is preserved, and one undefined product is not reflected
+        m = parse_magma("elements: a b\na: a -\nb: - b\n")
+        ids = [identity_pretransformation(m.elements, dom) for dom in (("a", "b"), ("a",))]
+        with pytest.raises(RuntimeError, match="definedness not reflected"):
+            represent._checked_image(m, ids, (0, 1), injective=True)
 
     @staticmethod
     def _corrupted_codomain(monkeypatch, x, cod):

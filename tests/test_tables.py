@@ -16,12 +16,15 @@ from poloids import (
     Witness,
     adjoin_zero,
     effective_units,
+    identity_pretransformation,
     left_units,
     parse_magma,
+    parse_map_magma,
     precedes,
     product,
     right_units,
     serialize_magma,
+    serialize_map_magma,
     units,
 )
 from poloids.classify import _Analysis
@@ -228,6 +231,38 @@ class TestParse:
     @given(magmas())
     def test_round_trip(self, m):
         assert parse_magma(serialize_magma(m)) == m
+
+
+class TestNamesSurviveTheirFiles:
+    # the parsers break tokens at every character str.split breaks at, and
+    # lines at every one str.splitlines breaks at: a name holding any of
+    # them is refused, and every name the constructor takes reads back
+    CHARACTERS = tuple(map(chr, range(0x3001)))
+
+    def test_whitespace_is_refused(self):
+        spaces = [c for c in self.CHARACTERS if c.isspace()]
+        assert {"\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"} <= set(spaces)
+        assert len(spaces) == 29
+        for c in spaces:
+            assert_rejected((f"a{c}b",), ((0,),), f"invalid element name {f'a{c}b'!r}")
+
+    def test_every_accepted_name_reads_back(self):
+        names = []
+        for c in self.CHARACTERS:
+            for name in (c, f"a{c}b"):
+                try:
+                    m = PartialMagma((name, "e"), ((0, None), (None, 1)))
+                except ValueError:
+                    continue
+                assert parse_magma(serialize_magma(m)) == m
+                names.append(name)
+        # all but the 29 spaces, ':' and '#' in either form, '-' and 'e'
+        assert len(names) == 2 * len(self.CHARACTERS) - 2 * 31 - 2
+        for i in range(0, len(names), 64):  # as points and as map names
+            points = tuple(names[i:i + 64])
+            ids = tuple(identity_pretransformation(points, (p,)) for p in points)
+            a = MapMagma(points, ids, names=points)
+            assert parse_map_magma(serialize_map_magma(a)) == a
 
 
 class TestProduct:
