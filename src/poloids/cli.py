@@ -6,6 +6,9 @@ or composes nowhere included, 3 precondition failure, 4 a broken
 internal invariant (a ``RuntimeError``; its message is printed, a
 defect in this package rather than in the input).  Each file is checked
 by its parser and the constructors it calls, and by nothing here.
+``classify --json`` prints ``_json`` of the report: what ``json.dumps(report,
+indent=2)`` prints, with strings escaped by the same C escaper but without
+the pure-Python encoder that ``indent`` selects.
 
 The parser is built once, on the first call of ``main``, as it costs more
 than most requests of a program that calls ``main`` many times.  A call is
@@ -18,9 +21,9 @@ a ``cmd_*`` function there, as a tracer does and undoes, takes effect at once.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import enumeration, maps, morphisms, represent, tables
@@ -32,6 +35,7 @@ EXIT_FALSE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+_JSON_LEAVES = {(type(None), None): "null", (bool, True): "true", (bool, False): "false"}
 
 
 def _read(path: str) -> str:
@@ -45,8 +49,7 @@ def _load_magma(path: str) -> tables.PartialMagma:
     """A Cayley table from either file kind, told apart by a ``set:`` head;
     a map-magma file is rendered through its composition table."""
     text = _read(path)
-    lines = tables._content_lines(text)
-    if not lines or tables._heading(lines[0], "set") is None:
+    if tables._heading(tables._content_lines(text, first=True), "set") is None:
         return tables.parse_magma(text)
     try:
         return maps.as_partial_magma(maps.parse_map_magma(text))
@@ -54,10 +57,22 @@ def _load_magma(path: str) -> tables.PartialMagma:
         raise ParseError(str(exc)) from None
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for str, bool, None, lists and str-keyed dicts."""
+    kind, inner = type(value), indent + "  "
+    if kind is dict:
+        items = [_json_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if kind is list:
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return _json_str(value) if kind is str else _JSON_LEAVES[kind, value]
+
+
 def cmd_classify(args) -> int:
     report = classify(_load_magma(args.path))
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_json(report.to_dict()))
     else:
         print(report.to_text(), end="")
     return EXIT_OK

@@ -8,10 +8,12 @@ image of ``ground[i]``, or ``None`` off the domain, and a codomain is
 kept as ascending ground positions.  One builder sets a map's fields,
 checking the two rules positions can still break (a non-empty domain, a
 codomain holding the image).  Points become positions only where they
-come in, at the constructors and the parser; every map derived from
-checked maps is built from positions.  A :class:`MapMagma` is a finite
-set of members of one kind together with a composition regime that
-decides when ``f.g`` is defined:
+come in, through readers the constructors and the parser share: a ground
+set into a point-to-position dict, then each assignment and codomain
+against it, so a file's ``set:`` line is read once for all its maps.
+Every map derived from checked maps is built from positions.  A
+:class:`MapMagma` is a finite set of members of one kind together with a
+composition regime that decides when ``f.g`` is defined:
 
 ==============  ==========================================
 ``SUPSET``      dom(f) contains im(g)
@@ -57,20 +59,36 @@ class Mode(enum.Enum):
     CODOMAIN = "codomain"
 
 
-def _read(ground, assignment) -> tuple:
-    """The checked ground set, and the positions of ``assignment``'s points."""
+def _ground(ground) -> tuple[tuple, dict]:
+    """The checked ground set, and the position of each of its points."""
     ground = tuple(ground)
-    if len(set(ground)) != len(ground) or not ground:
-        raise ValueError("ground set must be non-empty and duplicate-free")
     pos = {p: i for i, p in enumerate(ground)}
-    values = [None] * len(ground)
-    for p, q in assignment.items() if isinstance(assignment, Mapping) else assignment:
+    if len(pos) != len(ground) or not ground:
+        raise ValueError("ground set must be non-empty and duplicate-free")
+    return ground, pos
+
+
+def _values(pos: dict, pairs) -> tuple:
+    """An assignment's (point, point) pairs as ground positions, None off its domain."""
+    values = [None] * len(pos)
+    for p, q in pairs:
         if p not in pos or q not in pos:
             raise ValueError(f"assignment pair ({p!r}, {q!r}) leaves the ground set")
         if values[pos[p]] is not None:
             raise ValueError(f"point {p!r} assigned twice")
         values[pos[p]] = pos[q]
-    return ground, tuple(values)
+    return tuple(values)
+
+
+def _cod(pos: dict, codomain) -> tuple:
+    """The ascending ground positions of a codomain's points."""
+    given = tuple(codomain)
+    for p in given:
+        if p not in pos:
+            raise ValueError(f"codomain point {p!r} not in the ground set")
+    if len(cod := sorted({pos[p] for p in given})) != len(given):
+        raise ValueError("duplicate codomain point")
+    return tuple(cod)
 
 
 def _map(ground, values: tuple, cod: tuple | None = None, into=None):
@@ -100,7 +118,9 @@ class Prefunction:
 
     def __init__(self, ground, assignment):
         """``assignment`` maps points to points, as a mapping or as pairs."""
-        _map(*_read(ground, assignment), into=self)
+        ground, pos = _ground(ground)
+        pairs = assignment.items() if isinstance(assignment, Mapping) else assignment
+        _map(ground, _values(pos, pairs), into=self)
 
     @_fact
     def _dom(self) -> tuple:  # the ground positions of the domain
@@ -137,14 +157,7 @@ class PartialFn(Prefunction):
     _cod: tuple  # the ground positions of the codomain, ascending
 
     def __init__(self, pre: Prefunction, codomain):
-        given = tuple(codomain)
-        for p in given:
-            if p not in pre.ground:
-                raise ValueError(f"codomain point {p!r} not in the ground set")
-        cod = sorted({pre.ground.index(p) for p in given})
-        if len(cod) != len(given):
-            raise ValueError("duplicate codomain point")
-        _map(pre.ground, pre.values, tuple(cod), into=self)
+        _map(pre.ground, pre.values, _cod(_ground(pre.ground)[1], codomain), into=self)
 
     @_fact
     def codomain(self) -> tuple:
@@ -253,9 +266,7 @@ class MapMagma:
                 raise ValueError("names must be distinct and one per member")
         order = sorted(range(len(members)), key=lambda i: _member_key(members[i]))
         object.__setattr__(self, "members", tuple(members[i] for i in order))
-        if names is not None:
-            names = tuple(names[i] for i in order)
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", None if names is None else tuple(names[i] for i in order))
 
     @property
     def size(self) -> int:
@@ -310,7 +321,7 @@ def full_pretransformation_magma(points) -> MapMagma:
     if n > FULL_MAGMA_BOUND:
         raise BoundExceeded(f"ground set of {n} exceeds bound {FULL_MAGMA_BOUND}")
     if points:  # with no points there is no member, which MapMagma reports
-        _read(points, ())
+        _ground(points)
     members = tuple(_map(points, tuple(None if c == n else c for c in choice))
                     for choice in iproduct(range(n + 1), repeat=n) if choice.count(n) < n)
     return MapMagma(points, members, Mode.SUPSET)
@@ -412,7 +423,7 @@ def parse_map_magma(text: str) -> MapMagma:
         if not _valid_token(p):
             raise ParseError(f"invalid point token {p!r}")
     try:  # here, so that no map takes the blame for the set line
-        _read(points, ())
+        ground, pos = _ground(points)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     if (rest := _heading(lines[1], "mode")) is None:
@@ -453,21 +464,25 @@ def parse_map_magma(text: str) -> MapMagma:
             raise ParseError(f"iso line {line!r}: unknown map {member!r}")
     members = []
     for name, pairs, cod in entries:
-        try:
-            pre = Prefunction(points, pairs)
-            members.append(pre if cod is None else PartialFn(pre, cod))
+        try:  # an empty domain is reported before the codomain, as by the constructors
+            pre = _map(ground, _values(pos, pairs))
+            members.append(pre if cod is None else _map(ground, pre.values, _cod(pos, cod)))
         except ValueError as exc:
             raise ParseError(f"map {name!r}: {exc}") from None
     try:
-        return MapMagma(points, tuple(members), mode, names)
+        return MapMagma(ground, tuple(members), mode, names)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
 def serialize_map_magma(a: MapMagma) -> str:
-    """Canonical rendering; inverse of :func:`parse_map_magma`."""
-    out = ["set: " + " ".join(str(p) for p in a.ground), "mode: " + a.mode.value]
-    for name, m in zip(a.member_names(), a.members):
+    """Canonical rendering, inverse of :func:`parse_map_magma`: a point or name is a file token."""
+    points, names = [str(p) for p in a.ground], a.member_names()
+    for kind, tokens in (("point token", points), ("map name", names)):
+        if (bad := next((t for t in tokens if not _valid_token(t)), None)) is not None:
+            raise ValueError(f"invalid {kind} {bad!r}")
+    out = ["set: " + " ".join(points), "mode: " + a.mode.value]
+    for name, m in zip(names, a.members):
         out.append("map %s: %s" % (name, " ".join(f"{p}->{q}" for p, q in m.assignment)))
         if isinstance(m, PartialFn):
             out.append("cod %s: %s" % (name, " ".join(str(p) for p in m.codomain)))

@@ -40,10 +40,11 @@ def _is_index(v, n: int) -> bool:
     return (type(v) is int or isinstance(v, int) and not isinstance(v, bool)) and 0 <= v < n
 
 
-def _content_lines(text: str) -> list[str]:
-    """The non-blank lines of a structure file, comments and edges stripped."""
+def _content_lines(text: str, first: bool = False):
+    """The non-blank lines of a structure file, comments and edges stripped;
+    with ``first``, only the first of them ("" if none), the rest left unstripped."""
     lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [line for line in lines if line]
+    return next(filter(None, lines), "") if first else [line for line in lines if line]
 
 
 def _heading(line: str, word: str) -> str | None:
@@ -133,11 +134,10 @@ class PartialMagma:
             if len(row) != n:
                 raise ValueError(f"expected {n} entries per row, got {len(row)}")
             for cell in row:
-                if cell is None:
-                    continue
-                if not _is_index(cell, n):
+                if type(cell) is int and 0 <= cell < n or cell is not None and _is_index(cell, n):
+                    defined += 1
+                elif cell is not None:
                     raise ValueError(f"table entry {cell!r} is not an element index")
-                defined += 1
         if defined == 0:
             raise ValueError("the operation must be defined on at least one pair")
 

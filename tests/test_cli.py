@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poloids import cli, enumeration
+from poloids import PartialMagma, cli, enumeration
+from poloids.classify import classify
 from poloids.cli import main
 
 RIGHT_ZERO = "elements: x y\nx: x y\ny: x y\n"
@@ -230,6 +232,67 @@ _CONSTRUCTOR_RULES = {
     "cod-misses-image": _MAPS_HEAD + "map f: 1->2\ncod f: 1\n",
     "mixed-cod": _MAPS_HEAD + "map f: 1->1\ncod f: 1\nmap g: 2->2\n",
 }
+
+
+def _renamed(m: PartialMagma, names) -> PartialMagma:
+    return PartialMagma(tuple(names[:m.size]), m.table)
+
+
+class TestJsonReport:
+    # classify --json renders its report with cli._json, which must print
+    # exactly what json.dumps(report, indent=2) prints
+
+    @staticmethod
+    def assert_renders_as_json_dumps(m):
+        d = classify(m).to_dict()
+        assert cli._json(d) == json.dumps(d, indent=2), m
+
+    def test_every_poloid_and_normal_class_up_to_five_elements(self):
+        count = 0
+        for name in ("poloid", "normal"):
+            for n in range(1, 6):
+                for m in enumeration.filtered(n, name, up_to_iso=True):
+                    self.assert_renders_as_json_dumps(m)
+                    count += 1
+        assert count == 399 + 2634
+
+    def test_seeded_random_tables(self):
+        rng = random.Random(37)
+        for _ in range(2000):
+            n = rng.randint(4, 8)
+            density = rng.uniform(0.1, 0.9)
+            table = [[rng.randrange(n) if rng.random() < density else None for _ in range(n)]
+                     for _ in range(n)]
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            names = [f"x{i}" for i in range(n)]
+            self.assert_renders_as_json_dumps(PartialMagma(names, table))
+
+    @pytest.mark.parametrize("names", [
+        ("é", "λ", "éλ"),
+        ('"', "\\", 'q"\\'),
+        ("é\"", "\\λ", "a\x01b"),
+    ])
+    def test_names_that_json_escapes(self, names):
+        for n in (1, 2, 3):
+            for name in ("poloid", "normal", "right_directed_semigroupoid"):
+                for m in enumeration.filtered(n, name, up_to_iso=True):
+                    self.assert_renders_as_json_dumps(_renamed(m, names))
+
+    def test_classify_prints_what_json_dumps_prints(self, write, capsys):
+        text = 'elements: é "q \\\\\né: é - -\n"q: - "q -\n\\\\: - - \\\\\n'
+        assert main(["classify", "--json", write("names.magma", text)]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        report = json.loads(out)
+        assert report["elements"] == ["é", '"q', "\\\\"]
+        assert report["verdicts"]["groupoid"] is True
+        assert report["inverses"] == {"é": "é", '"q': '"q', "\\\\": "\\\\"}
+
+    @pytest.mark.parametrize("value", [1, 0, 1.0, (), "x".encode()])
+    def test_other_value_types_are_refused(self, value):
+        # an int is not rendered as the bool it equals
+        with pytest.raises(KeyError):
+            cli._json({"a": [value]})
 
 
 class TestConstructorRulesInFiles:

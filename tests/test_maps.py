@@ -605,6 +605,87 @@ class TestMapMagmaFiles:
             parse_map_magma("set: 1\nmode: supset\nmap f: 1->1\nmap g: 1->1\n")
 
 
+P2 = ("1", "2")
+_HEAD = "set: 1 2\nmode: supset\n"
+
+
+class TestPositionReaders:
+    # the constructors and the parser read points into positions through
+    # the same helpers, so each refusal has one message, which the parser
+    # prefixes with the map's name
+
+    @pytest.mark.parametrize("pairs, cod, body, message", [
+        ([("1", "3")], None, "map f: 1->3\n", "assignment pair ('1', '3') leaves the ground set"),
+        ([("3", "1")], None, "map f: 3->1\n", "assignment pair ('3', '1') leaves the ground set"),
+        ([("1", "1"), ("1", "2")], None, "map f: 1->1 1->2\n", "point '1' assigned twice"),
+        ([], None, "map f:\n", "a prefunction must have a non-empty domain"),
+        ([], ("5",), "map f:\ncod f: 5\n", "a prefunction must have a non-empty domain"),
+        ([("1", "1")], ("1", "5"), "map f: 1->1\ncod f: 1 5\n",
+         "codomain point '5' not in the ground set"),
+        ([("1", "2")], ("1", "1", "5"), "map f: 1->2\ncod f: 1 1 5\n",
+         "codomain point '5' not in the ground set"),
+        ([("1", "1")], ("1", "1"), "map f: 1->1\ncod f: 1 1\n", "duplicate codomain point"),
+        ([("1", "2")], ("1", "1"), "map f: 1->2\ncod f: 1 1\n", "duplicate codomain point"),
+        ([("1", "2")], ("1",), "map f: 1->2\ncod f: 1\n", "codomain must contain the image"),
+    ], ids=["leaves-image", "leaves-domain", "assigned-twice", "empty", "empty-before-cod",
+            "cod-point", "cod-point-before-duplicate", "duplicate-cod", "duplicate-before-image",
+            "image"])
+    def test_constructors_and_parser_give_one_message(self, pairs, cod, body, message):
+        with pytest.raises(ValueError) as exc:
+            pre = Prefunction(P2, pairs)
+            if cod is not None:
+                PartialFn(pre, cod)
+        assert str(exc.value) == message
+        with pytest.raises(ParseError) as exc:
+            parse_map_magma(_HEAD + "map g: 1->1 2->2\n" + body)
+        assert str(exc.value) == f"map 'f': {message}"
+
+    def test_a_mapping_reads_like_its_pairs(self):
+        with pytest.raises(ValueError, match=r"^assignment pair \('1', '3'\) leaves the ground set$"):
+            Prefunction(P2, {"1": "3"})
+        assert Prefunction(P2, {"2": "1"}) == Prefunction(P2, [("2", "1")])
+
+    @pytest.mark.parametrize("full", [full_pretransformation_magma, full_transformation_magma])
+    @pytest.mark.parametrize("points", [("a", "b"), ("a", "b", "c")])
+    def test_full_magmas_round_trip(self, full, points):
+        a = full(points)
+        back = parse_map_magma(serialize_map_magma(a))
+        assert back == MapMagma(a.ground, a.members, a.mode, a.member_names())
+        assert [hash(m) for m in back.members] == [hash(m) for m in a.members]
+        assert serialize_map_magma(back) == serialize_map_magma(a)
+
+
+class TestSerializeRefusesWhatDoesNotReadBack:
+    # a point whose str, or a name, that is not a file token would read
+    # back as another magma, so the writer refuses it
+
+    @pytest.mark.parametrize("ground", [("p\xa0q", "r"), ("p q", "r"), ("-", "r"), ("p#", "r")])
+    def test_point(self, ground):
+        for names in (("f",), None):
+            a = MapMagma(ground, (identity_pretransformation(ground, ("r",)),), names=names)
+            with pytest.raises(ValueError) as exc:
+                serialize_map_magma(a)
+            assert str(exc.value) == f"invalid point token {ground[0]!r}"
+
+    def test_point_written_through_str(self):
+        ground = ((1, 2), 3)
+        a = MapMagma(ground, (identity_pretransformation(ground, (3,)),))
+        with pytest.raises(ValueError, match=r"^invalid point token '\(1, 2\)'$"):
+            serialize_map_magma(a)
+
+    @pytest.mark.parametrize("name", ["f g", "f\xa0g", "-", "", "a:b", "a#b"])
+    def test_map_name(self, name):
+        a = MapMagma(P2, (identity_pretransformation(P2, ("1",)),), names=(name,))
+        with pytest.raises(ValueError) as exc:
+            serialize_map_magma(a)
+        assert str(exc.value) == f"invalid map name {name!r}"
+
+    def test_tokens_are_written(self):
+        ground = ("p->q", "r")
+        a = MapMagma(ground, (identity_pretransformation(ground, ("r",)),), names=("f->g",))
+        assert parse_map_magma(serialize_map_magma(a)) == a
+
+
 class TestArrowsInPoints:
     # a point may contain "->": a pair splits at the one arrow that leaves
     # a point on both sides

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import re
 import sys
 import threading
@@ -100,6 +101,24 @@ class TestConstruction:
     @pytest.mark.parametrize("names, table, message", REJECTIONS)
     def test_rejection_messages(self, names, table, message):
         assert_rejected(names, table, message)
+
+    @pytest.mark.parametrize("cell", [True, False, -1, 2, 1.0, "a"])
+    def test_cells_that_are_not_indices(self, cell):
+        # exact ints in range take a fast path; every other cell is still
+        # refused with the same message, wherever it stands in its row
+        for table in (((0, cell), (1, 0)), ((cell, 0), (None, 1))):
+            assert_rejected(("a", "b"), table, f"table entry {cell!r} is not an element index")
+
+    def test_int_enum_cells_are_indices(self):
+        class Cell(enum.IntEnum):
+            A = 0
+            B = 1
+
+        m = PartialMagma(("a", "b"), ((Cell.A, Cell.B), (None, Cell.A)))
+        plain = PartialMagma(("a", "b"), ((0, 1), (None, 0)))
+        assert m == plain and hash(m) == hash(plain)
+        with pytest.raises(ValueError, match=r"^table entry <Cell.B: 1> is not an element index$"):
+            PartialMagma(("a",), ((Cell.B,),))
 
 
 class TestCarrierCheckedOnce:
