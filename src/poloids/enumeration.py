@@ -20,9 +20,19 @@ as one of the requested class's laws, its facts in
 - the local right unit, for the classes whose laws include ``phi``: each
   x has exactly one left unit phi_x with x.phi_x = x.  When row r is
   complete the walk notes whether it is a left-unit row (every cell r.y
-  is y or undefined), then rechecks row r and each earlier row x with
-  x.r = x: it drops the node if such a row holds x in two left-unit
+  is y or undefined: one set lookup of its n cells among the 2^n
+  left-unit row patterns, built once per walk), extends the list of the
+  left-unit rows among 0..r, then rechecks row r and each earlier row x
+  with x.r = x: it drops the node if such a row holds x in two left-unit
   columns l <= r, or in none of them and in no column l > r;
+- the unit columns, for the classes whose laws include ``unit_maps``: in
+  a poloid the left units are the units (``classify``'s first theorem),
+  so each left unit l is a right unit too, with x.l = x or undefined for
+  every x.  When row r completes, the walk drops the node if r is a
+  left-unit row and some x <= r has x.r other than x or undefined, or if
+  some left-unit row l < r has r.l other than r or undefined.  This
+  reads O(r) cells of complete rows, and drops, rows earlier, tables
+  that the other prunes refuse by the last row;
 - normality, for the classes whose laws include ``normal``: when row r
   completes as a left-unit row, the walk drops the node if some earlier
   left-unit row l has l.r and r.l both defined;
@@ -48,12 +58,13 @@ until the walk takes k back; a walk with no triple law lists none.  Rows
 complete in order, so the left-unit status of rows 0..r is final once
 row r is, and so are the cells of those rows: a unit clash among them
 stays, and a row with no unit among them can gain one only from a column
-l > r that holds x.  The cells l.r and r.l of a left-unit clash are
-fixed once rows l and r are; a column's right-unit status is final only
-with the last row, so the units are too, and the inverses are fixed once
-the units are.  Each drop is thus a failure of one of the class's laws
-(``phi``, ``normal``, ``unit_maps`` or ``inverses``, which cancellation
-is part of) that no later cell can repair.
+l > r that holds x.  The cells l.r and r.l of a left-unit clash, and
+the cells x.r and r.l that break a unit column, are fixed once their
+rows are; a column's right-unit status is final only with the last row,
+so the units are too, and the inverses are fixed once the units are.
+Each drop is thus a failure of one of the class's laws (``phi``,
+``normal``, ``unit_maps`` or ``inverses``, which cancellation is part
+of) that no later cell can repair.
 
 Each class is the conjunction of its laws, so the walk yields its
 leaves without a checker.  Every triple is checked by the time its last
@@ -165,10 +176,11 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     right_unit = "phi" in laws
     normal = "normal" in laws
     cancels = "inverses" in laws
+    poloid = "unit_maps" in laws
     choices = range(n) if "total" in laws else range(n + 1)  # n is undefined
     names, decode = ELEMENT_NAMES[:n], (*range(n), None).__getitem__
     cells = n * n
-    last = n - 1 if "unit_maps" in laws else -1  # the row that fixes the units
+    last = n - 1 if poloid else -1  # the row that fixes the units
     values = [-1] * cells  # -1: not yet chosen
     # readers[k]: the triples checked once cell k is chosen, as (xy, yz, x*n, z)
     # cells: those k = (a, b) completes, (a, b, t) and (t, a, b), then those waiting on k
@@ -192,42 +204,52 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     for source, image, block in _relabellings(n) if up_to_iso else ():
         buckets[block[0]].append((source, image, block, 0))
     trail = []  # the readers and buckets lists appended to, popped in reverse on undo
-    left = [False] * n  # left[r]: complete row r holds only r.y = y or undefined
+    unit_rows = set(iproduct(*[(l, n) for l in range(n)]))  # the 2^n left-unit rows
+    lefts_to = [()] * (n + 1)  # lefts_to[r]: the left-unit rows among complete rows 0..r-1
 
     def row_broken(r: int) -> bool:
         """Row r is complete: record whether it is a left-unit row, and
         whether some complete row x has lost its one left unit l with
         x.l = x, through two such l <= r or none left to come.  Only row
-        r and the rows x with x.r = x can have changed.  For a normal
-        class, also whether a left-unit row r and an earlier one l have
-        l.r and r.l both defined; for a poloid class, once r is the last
-        row, whether the units fail."""
+        r and the rows x with x.r = x can have changed.  For a poloid
+        class, also whether a left-unit row fails to be a right unit
+        among the complete rows, and once r is the last row, whether the
+        units fail; for a normal class, whether a left-unit row r and an
+        earlier one l have l.r and r.l both defined."""
         rn = r * n
-        left[r] = all(values[rn + l] in (l, n) for l in range(n))
-        if normal and left[r]:
-            for l in range(r):
-                if left[l] and values[l * n + r] < n and values[rn + l] < n:
+        is_left = tuple(values[rn:rn + n]) in unit_rows
+        lefts = lefts_to[r + 1] = lefts_to[r] + (r,) if is_left else lefts_to[r]
+        if poloid:  # every left unit l is a right unit: x.l is x or undefined
+            for l in lefts:
+                if values[rn + l] not in (r, n):
+                    return True
+            if is_left:
+                for x in range(r):
+                    if values[x * n + r] not in (x, n):
+                        return True
+        if normal and is_left:
+            for l in lefts[:-1]:
+                if values[l * n + r] < n and values[rn + l] < n:
                     return True
         for x in range(r + 1):
             xn = x * n
             if x < r and values[xn + r] != x:
                 continue
             units = 0
-            for l in range(r + 1):
-                if left[l] and values[xn + l] == x:
+            for l in lefts:
+                if values[xn + l] == x:
                     units += 1
             if units > 1 or (not units and x not in values[xn + r + 1:xn + n]):
                 return True
-        return r == last and units_broken()
+        return r == last and units_broken(lefts)
 
-    def units_broken() -> bool:
+    def units_broken(lefts: tuple[int, ...]) -> bool:
         """Every row is complete: whether some x has no unit e with e.x
         defined or none with x.e defined, the units being the left-unit
-        rows whose column holds only x.e = x or undefined; for a
+        rows ``lefts`` whose column holds only x.e = x or undefined; for a
         groupoid, also whether some x has other than one y with x.y and
         y.x both units."""
-        units = [e for e in range(n)
-                 if left[e] and all(values[x * n + e] in (x, n) for x in range(n))]
+        units = [e for e in lefts if all(values[x * n + e] in (x, n) for x in range(n))]
         for x in range(n):
             xn = x * n
             if (all(values[e * n + x] == n for e in units)

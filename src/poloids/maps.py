@@ -216,12 +216,6 @@ def compose_maps(f, g, mode: Mode = Mode.SUPSET):
     return None if h is None else _map(f.ground, h, f._cod if f_fn else None)
 
 
-def _member_key(m):
-    dom_mask = sum(1 << i for i in m._dom)
-    cod_mask = sum(1 << i for i in m._cod) if isinstance(m, PartialFn) else -1
-    return (dom_mask, m.values, cod_mask)
-
-
 def default_map_name(m) -> str:
     if m.is_identity():
         return "Id[%s]" % ",".join(str(p) for p in m.domain)
@@ -252,19 +246,25 @@ class MapMagma:
         kinds = {isinstance(m, PartialFn) for m in members}
         if len(kinds) != 1:
             raise ValueError("members must be all prefunctions or all functions")
-        if self.mode is Mode.CODOMAIN and not kinds.pop():
+        fn = kinds.pop()
+        if self.mode is Mode.CODOMAIN and not fn:
             raise ValueError("codomain mode requires function members")
         for m in members:
             if m.ground != ground:
                 raise ValueError("member ground set mismatch")
-        if len(set(members)) != len(members):
+        # canonical order: the domain as a bit mask, then values, then the
+        # codomain as a bit mask; one key per (values, codomain), so per member
+        bits = [1 << i for i in range(len(ground))]
+        keys = [(sum([b for b, v in zip(bits, m.values) if v is not None]), m.values,
+                 sum([bits[i] for i in m._cod]) if fn else -1) for m in members]
+        if len(set(keys)) != len(keys):
             raise ValueError("duplicate members")
         names = self.names
         if names is not None:
             names = tuple(names)
             if len(names) != len(members) or len(set(names)) != len(names):
                 raise ValueError("names must be distinct and one per member")
-        order = sorted(range(len(members)), key=lambda i: _member_key(members[i]))
+        order = sorted(range(len(members)), key=keys.__getitem__)
         object.__setattr__(self, "members", tuple(members[i] for i in order))
         object.__setattr__(self, "names", None if names is None else tuple(names[i] for i in order))
 
@@ -476,11 +476,15 @@ def parse_map_magma(text: str) -> MapMagma:
 
 
 def serialize_map_magma(a: MapMagma) -> str:
-    """Canonical rendering, inverse of :func:`parse_map_magma`: a point or name is a file token."""
+    """Canonical rendering, inverse of :func:`parse_map_magma`: a point or name
+    is a file token, and no two points are written alike."""
     points, names = [str(p) for p in a.ground], a.member_names()
     for kind, tokens in (("point token", points), ("map name", names)):
         if (bad := next((t for t in tokens if not _valid_token(t)), None)) is not None:
             raise ValueError(f"invalid {kind} {bad!r}")
+    if len(set(points)) != len(points):
+        twice = next(p for i, p in enumerate(points) if p in points[:i])
+        raise ValueError(f"point token {twice!r} is written for two points")
     out = ["set: " + " ".join(points), "mode: " + a.mode.value]
     for name, m in zip(names, a.members):
         out.append("map %s: %s" % (name, " ".join(f"{p}->{q}" for p, q in m.assignment)))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import sys
 from itertools import permutations, product
 from math import factorial
 
@@ -286,6 +287,42 @@ class TestRightUnitPrune:
             assert found == [m for m in directed if in_class(m, name)], name
 
 
+class TestUnitColumnPrune:
+    # in a poloid every left unit is a unit, so once row r is complete the
+    # walk of a class whose laws include unit_maps drops a left-unit row
+    # l <= r with some x.l, x <= r, other than x or undefined
+
+    # (TestTotalityPrune and TestCancellationPrune hold the monoid, group
+    # and groupoid walks to the poloid walk, and TestRightUnitPrune the
+    # poloid walk up to isomorphism to the right-directed one)
+
+    POLOID_CLASSES = [name for name, laws in CLASS_LAWS.items() if "unit_maps" in laws]
+
+    @staticmethod
+    def broken_unit_column(n, r, cells):
+        """Whether, in the complete rows 0..r, a left-unit row l has some
+        x.l other than x or undefined."""
+        lefts = [l for l in range(r + 1) if all(cells[l * n + y] in (y, n) for y in range(n))]
+        return any(cells[x * n + l] not in (x, n) for l in lefts for x in range(r + 1))
+
+    @pytest.mark.parametrize("n, up_to_iso", [(3, False), (4, True)])
+    def test_every_row_passed_keeps_its_unit_columns(self, n, up_to_iso):
+        # the complete rows of every node the walk descends from, traced
+        # where row_broken lets them pass; the normal walk passes some
+        # that break a unit column, as it does not prune on them
+        for name in ("normal", *self.POLOID_CLASSES):
+            passed = rows_passed(n, name, up_to_iso)
+            assert passed, name
+            assert any(self.broken_unit_column(n, r, c) for r, c in passed) == (name == "normal"), name
+
+    def test_labelled_poloids_against_the_normal_walk_at_four_elements(self):
+        # the normal walk does not use the prune; a poloid is a normal
+        # right poloid
+        found = list(filtered(4, "poloid"))
+        assert found == [m for m in filtered(4, "normal") if in_class(m, "poloid")]
+        assert len(found) == 973
+
+
 class TestOracleChainAtFiveElements:
     # each pruned walk up to isomorphism equals the walk one law weaker
     # filtered by their analyses; every class is closed under relabelling,
@@ -494,6 +531,27 @@ def right_poloids_at_five():
 def poloids_at_five():
     """The poloid walk on five elements up to isomorphism."""
     return list(filtered(5, "poloid", up_to_iso=True))
+
+
+def rows_passed(n, verdict, up_to_iso):
+    """Each (r, cells of rows 0..r) at which the walk's row_broken returns
+    False, traced through ``sys.settrace``."""
+    code = next(c for c in filtered.__code__.co_consts if getattr(c, "co_name", "") == "row_broken")
+    passed = []
+
+    def on_return(frame, event, arg):
+        if event == "return" and arg is False:
+            r = frame.f_locals["r"]
+            passed.append((r, tuple(frame.f_locals["values"][:(r + 1) * n])))
+        return on_return
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_return if frame.f_code is code else None)
+    try:
+        list(filtered(n, verdict, up_to_iso=up_to_iso))
+    finally:
+        sys.settrace(outer)
+    return passed
 
 
 def spy_on_leaves(monkeypatch):

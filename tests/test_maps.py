@@ -655,6 +655,61 @@ class TestPositionReaders:
         assert serialize_map_magma(back) == serialize_map_magma(a)
 
 
+def _member_key(m):
+    # the canonical member order as it was first written, from each
+    # member's domain fact: a reference for the key MapMagma builds
+    dom_mask = sum(1 << i for i in m._dom)
+    cod_mask = sum(1 << i for i in m._cod) if isinstance(m, PartialFn) else -1
+    return (dom_mask, m.values, cod_mask)
+
+
+def _embedded_map_magmas():
+    # the translation images embed writes, for every poloid class on at
+    # most four elements and every normal class on at most three
+    from poloids.enumeration import filtered
+    from poloids.represent import cayley_embedding, embed_right_poloid, serialize_embedding
+
+    found = [cayley_embedding(m) for n in range(1, 5) for m in filtered(n, "poloid", True)]
+    found += [embed_right_poloid(m) for n in range(1, 4) for m in filtered(n, "normal", True)]
+    return [serialize_embedding(e) for e in found]
+
+
+class TestCanonicalOrder:
+    # MapMagma orders its members by a key it builds from their values and
+    # codomain positions; the reference key reads the domain fact instead
+
+    def _check(self, a):
+        keys = [_member_key(m) for m in a.members]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        names, k = a.member_names(), len(a.members)
+        for order in (range(k - 1, -1, -1), [*range(1, k, 2), *range(0, k, 2)]):
+            members, renamed = tuple(a.members[i] for i in order), tuple(names[i] for i in order)
+            b = MapMagma(a.ground, members, a.mode, renamed)
+            assert b.members == tuple(sorted(members, key=_member_key))
+            assert b.names == tuple(renamed[members.index(m)] for m in b.members)
+
+    @pytest.mark.parametrize("full", [full_pretransformation_magma, full_transformation_magma])
+    @pytest.mark.parametrize("points", [(1,), X2, X3])
+    def test_full_magmas(self, full, points):
+        self._check(full(points))
+
+    def test_parsed_embeddings(self):
+        texts = _embedded_map_magmas()
+        assert len(texts) == 55 + 11 + 3 + 1 + 29 + 5 + 1
+        for text in texts:
+            self._check(parse_map_magma(text))
+
+    @pytest.mark.parametrize("fn", [False, True])
+    def test_duplicate_members(self, fn):
+        f, g, h = (identity_pretransformation(X2, dom) for dom in [(1,), (1,), (2,)])
+        if fn:
+            f, g, h = (PartialFn(m, (1, 2)) for m in (f, g, h))
+            assert MapMagma(X2, (f, h, PartialFn(g.pre, (1,)))).size == 3  # another codomain
+        assert f is not g
+        with pytest.raises(ValueError, match="^duplicate members$"):
+            MapMagma(X2, (f, h, g))
+
+
 class TestSerializeRefusesWhatDoesNotReadBack:
     # a point whose str, or a name, that is not a file token would read
     # back as another magma, so the writer refuses it
@@ -672,6 +727,15 @@ class TestSerializeRefusesWhatDoesNotReadBack:
         a = MapMagma(ground, (identity_pretransformation(ground, (3,)),))
         with pytest.raises(ValueError, match=r"^invalid point token '\(1, 2\)'$"):
             serialize_map_magma(a)
+
+    @pytest.mark.parametrize("ground", [(1, "1"), ("r", 2, "2")])
+    def test_points_written_alike(self, ground):
+        # distinct points whose str agree would write a set line with a
+        # repeated token, which the parser refuses
+        a = MapMagma(ground, (identity_pretransformation(ground, (ground[0],)),))
+        with pytest.raises(ValueError) as exc:
+            serialize_map_magma(a)
+        assert str(exc.value) == f"point token {str(ground[-1])!r} is written for two points"
 
     @pytest.mark.parametrize("name", ["f g", "f\xa0g", "-", "", "a:b", "a#b"])
     def test_map_name(self, name):
