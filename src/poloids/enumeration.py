@@ -37,10 +37,10 @@ as one of the requested class's laws, its facts in
   completes as a left-unit row, the walk drops the node if some earlier
   left-unit row l has l.r and r.l both defined;
 - the effective units, for the classes whose laws include
-  ``unit_maps``: when the last row completes, the units are the
-  left-unit rows whose column holds only x.e = x or undefined, and the
-  walk drops the node if some x has no unit e with e.x defined, or none
-  with x.e defined;
+  ``unit_maps``: when the last row completes, the unit-column prune has
+  read every left-unit column, so the units are the left-unit rows, and
+  the walk drops the node if some x has no unit e with e.x defined (each
+  x already has phi_x, a unit with x.phi_x = x);
 - cancellation and inverses, for the classes whose laws include
   ``inverses``: xy = xz or yx = zx forces y = z (multiply by x's
   inverse), so a defined value appears at most once in each row and
@@ -180,7 +180,6 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     choices = range(n) if "total" in laws else range(n + 1)  # n is undefined
     names, decode = ELEMENT_NAMES[:n], (*range(n), None).__getitem__
     cells = n * n
-    last = n - 1 if poloid else -1  # the row that fixes the units
     values = [-1] * cells  # -1: not yet chosen
     # readers[k]: the triples checked once cell k is chosen, as (xy, yz, x*n, z)
     # cells: those k = (a, b) completes, (a, b, t) and (t, a, b), then those waiting on k
@@ -213,9 +212,12 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         x.l = x, through two such l <= r or none left to come.  Only row
         r and the rows x with x.r = x can have changed.  For a poloid
         class, also whether a left-unit row fails to be a right unit
-        among the complete rows, and once r is the last row, whether the
-        units fail; for a normal class, whether a left-unit row r and an
-        earlier one l have l.r and r.l both defined."""
+        among the complete rows, and once r is the last row, whether some
+        x has no unit e with e.x defined or, for a groupoid, other than
+        one y with x.y and y.x both units, the units being ``lefts``,
+        whose columns are all read by then; for a normal class, whether
+        a left-unit row r and an earlier one l have l.r and r.l both
+        defined."""
         rn = r * n
         is_left = tuple(values[rn:rn + n]) in unit_rows
         lefts = lefts_to[r + 1] = lefts_to[r] + (r,) if is_left else lefts_to[r]
@@ -241,23 +243,13 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
                     units += 1
             if units > 1 or (not units and x not in values[xn + r + 1:xn + n]):
                 return True
-        return r == last and units_broken(lefts)
-
-    def units_broken(lefts: tuple[int, ...]) -> bool:
-        """Every row is complete: whether some x has no unit e with e.x
-        defined or none with x.e defined, the units being the left-unit
-        rows ``lefts`` whose column holds only x.e = x or undefined; for a
-        groupoid, also whether some x has other than one y with x.y and
-        y.x both units."""
-        units = [e for e in lefts if all(values[x * n + e] in (x, n) for x in range(n))]
-        for x in range(n):
-            xn = x * n
-            if (all(values[e * n + x] == n for e in units)
-                    or all(values[xn + e] == n for e in units)):
-                return True
-            if cancels and sum(values[xn + y] in units and values[y * n + x] in units
-                               for y in range(n)) != 1:
-                return True
+        if poloid and r == n - 1:  # the units are final, and are the left units
+            for x in range(n):
+                if all(values[l * n + x] == n for l in lefts):
+                    return True
+                if cancels and sum(values[x * n + y] in lefts and values[y * n + x] in lefts
+                                   for y in range(n)) != 1:
+                    return True
         return False
 
     def still_least(k: int) -> bool:

@@ -238,6 +238,8 @@ class MapMagma:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.mode, Mode):
+            raise ValueError(f"unknown mode {self.mode!r}")
         ground = tuple(self.ground)
         members = tuple(self.members)
         object.__setattr__(self, "ground", ground)

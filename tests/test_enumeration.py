@@ -323,6 +323,27 @@ class TestUnitColumnPrune:
         assert len(found) == 973
 
 
+class TestWalkNodes:
+    # the nodes each walk visits up to isomorphism at four elements; no
+    # output shows a prune that fires a cell later, such as the value
+    # loop's stop once x(yz) is undefined, so only these counts pin it
+
+    NODES = {
+        "semigroupoid": 3772,
+        "right_directed_semigroupoid": 10743,
+        "right_poloid": 2824,
+        "normal": 2613,
+        "unit_posetal": 2613,
+        "poloid": 1320,
+        "monoid": 755,
+        "groupoid": 277,
+        "group": 55,
+    }
+
+    def test_node_counts_at_four_elements(self):
+        assert {name: walk_nodes(4, name, True) for name in self.NODES} == self.NODES
+
+
 class TestOracleChainAtFiveElements:
     # each pruned walk up to isomorphism equals the walk one law weaker
     # filtered by their analyses; every class is closed under relabelling,
@@ -552,6 +573,28 @@ def rows_passed(n, verdict, up_to_iso):
     finally:
         sys.settrace(outer)
     return passed
+
+
+def walk_nodes(n, verdict, up_to_iso):
+    """How many nodes the walk visits: its fresh ``walk`` frames, traced
+    through ``sys.settrace``.  A generator frame reports ``call`` again
+    each time it resumes, by which time it holds ``x`` or, at a leaf,
+    ``flat``."""
+    code = next(c for c in filtered.__code__.co_consts if getattr(c, "co_name", "") == "walk")
+    nodes = 0
+
+    def on_call(frame, event, arg):
+        nonlocal nodes
+        if frame.f_code is code and "x" not in frame.f_locals and "flat" not in frame.f_locals:
+            nodes += 1
+
+    outer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        list(filtered(n, verdict, up_to_iso=up_to_iso))
+    finally:
+        sys.settrace(outer)
+    return nodes
 
 
 def spy_on_leaves(monkeypatch):

@@ -710,6 +710,18 @@ class TestCanonicalOrder:
             MapMagma(X2, (f, h, g))
 
 
+class TestModeIsAMode:
+    # a mode given as its string, or as anything but a Mode, would reach
+    # the composition as a bare ValueError and serialize_map_magma as an
+    # AttributeError; the constructor refuses it and names it
+
+    @pytest.mark.parametrize("mode", ["supset", "exact-image", "SUPSET", None, 0])
+    def test_refused(self, mode):
+        f = identity_pretransformation(X2, (1,))
+        with pytest.raises(ValueError, match=rf"^unknown mode {mode!r}$"):
+            MapMagma(X2, (f,), mode)
+
+
 class TestSerializeRefusesWhatDoesNotReadBack:
     # a point whose str, or a name, that is not a file token would read
     # back as another magma, so the writer refuses it
