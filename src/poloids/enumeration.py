@@ -28,11 +28,12 @@ as one of the requested class's laws, its facts in
 - the unit columns, for the classes whose laws include ``unit_maps``: in
   a poloid the left units are the units (``classify``'s first theorem),
   so each left unit l is a right unit too, with x.l = x or undefined for
-  every x.  When row r completes, the walk drops the node if r is a
-  left-unit row and some x <= r has x.r other than x or undefined, or if
-  some left-unit row l < r has r.l other than r or undefined.  This
-  reads O(r) cells of complete rows, and drops, rows earlier, tables
-  that the other prunes refuse by the last row;
+  every x.  At a cell x.l whose row l < x is complete and a left-unit
+  row, the walk tries only x and undefined (only x in a total class);
+  when row r completes as a left-unit row, it drops the node if some
+  x < r has x.r other than x or undefined (r.r is r or undefined in such
+  a row).  This drops, rows earlier, tables that the other prunes refuse
+  by the last row;
 - normality, for the classes whose laws include ``normal``: when row r
   completes as a left-unit row, the walk drops the node if some earlier
   left-unit row l has l.r and r.l both defined;
@@ -59,7 +60,7 @@ complete in order, so the left-unit status of rows 0..r is final once
 row r is, and so are the cells of those rows: a unit clash among them
 stays, and a row with no unit among them can gain one only from a column
 l > r that holds x.  The cells l.r and r.l of a left-unit clash, and
-the cells x.r and r.l that break a unit column, are fixed once their
+the cells x.r and x.l that break a unit column, are fixed once their
 rows are; a column's right-unit status is final only with the last row,
 so the units are too, and the inverses are fixed once the units are.
 Each drop is thus a failure of one of the class's laws (``phi``,
@@ -94,9 +95,16 @@ al., "Chaff", 2001).  Every verdict class is closed under relabelling
 and the law prunes drop only tables that break a law, so the least
 member of each isomorphism class is reached and kept; every other member
 has a smaller relabelling and is dropped by the time its last cell is
-set.  The least table is the class's ``canonical_form``, so the classes
-come out in canonical order.  The labelled walk is the same walk with no
-relabellings.
+set.  The least table's first cell is known before the walk, so cell 0
+tries only 0 under ``phi`` and only 0 or undefined under the two-sided
+law, a lex-leader fact (Crawford, Ginsberg, Luks & Roy, KR 1996): phi_x
+is a left unit l, and l.l = l; in a semigroupoid a defined x.x makes
+every power of x defined, and one of them is idempotent; relabelling an
+idempotent to 0 gives a first cell 0, and with no idempotent every
+diagonal cell, cell 0 among them, stays undefined.  The least table is
+the class's ``canonical_form``, so the classes come out in canonical
+order.  The labelled walk is the same walk with no relabellings and no
+first-cell rule.
 """
 
 from __future__ import annotations
@@ -178,6 +186,8 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
     cancels = "inverses" in laws
     poloid = "unit_maps" in laws
     choices = range(n) if "total" in laws else range(n + 1)  # n is undefined
+    at_unit = [[v for v in (x, n) if v in choices] for x in range(n)]  # x.l, l < x a left unit
+    first = ((0,) if right_unit else (0, n) if two_sided else choices) if up_to_iso else choices
     names, decode = ELEMENT_NAMES[:n], (*range(n), None).__getitem__
     cells = n * n
     values = [-1] * cells  # -1: not yet chosen
@@ -211,8 +221,11 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         whether some complete row x has lost its one left unit l with
         x.l = x, through two such l <= r or none left to come.  Only row
         r and the rows x with x.r = x can have changed.  For a poloid
-        class, also whether a left-unit row fails to be a right unit
-        among the complete rows, and once r is the last row, whether some
+        class, also whether a new left-unit row r fails to be a right
+        unit among the complete rows, which only its column x.r, x < r,
+        can show: its cell r.r is r or undefined, and the value loop
+        tried only x or undefined at each x.l with l < x a left-unit
+        row; and once r is the last row, whether some
         x has no unit e with e.x defined or, for a groupoid, other than
         one y with x.y and y.x both units, the units being ``lefts``,
         whose columns are all read by then; for a normal class, whether
@@ -221,14 +234,10 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         rn = r * n
         is_left = tuple(values[rn:rn + n]) in unit_rows
         lefts = lefts_to[r + 1] = lefts_to[r] + (r,) if is_left else lefts_to[r]
-        if poloid:  # every left unit l is a right unit: x.l is x or undefined
-            for l in lefts:
-                if values[rn + l] not in (r, n):
+        if poloid and is_left:  # column r: the value loop tried only x or undefined at x.l, l < x
+            for x in range(r):
+                if values[x * n + r] not in (x, n):
                     return True
-            if is_left:
-                for x in range(r):
-                    if values[x * n + r] not in (x, n):
-                        return True
         if normal and is_left:
             for l in lefts[:-1]:
                 if values[l * n + r] < n and values[rn + l] < n:
@@ -287,7 +296,8 @@ def filtered(n: int, verdict: str | None, up_to_iso: bool = False) -> Iterator[P
         row_done = right_unit and y == n - 1
         # deeper cells append only to later cells' lists, so these stay put
         checks, waits_k, tied = readers[k], waits[k], buckets[k]
-        for v in choices:
+        tries = first if not k else at_unit[x] if poloid and y in lefts_to[x] else choices
+        for v in tries:
             values[k] = v
             if cancels and v < n and (v in values[k - y:k] or v in values[y:k:n]):
                 continue  # xy = xz or yx = zx forces y = z

@@ -288,9 +288,12 @@ class TestRightUnitPrune:
 
 
 class TestUnitColumnPrune:
-    # in a poloid every left unit is a unit, so once row r is complete the
-    # walk of a class whose laws include unit_maps drops a left-unit row
-    # l <= r with some x.l, x <= r, other than x or undefined
+    # in a poloid every left unit is a unit, so the walk of a class whose
+    # laws include unit_maps tries only x or undefined at a cell x.l whose
+    # row l < x is complete and a left-unit row, and, once row r completes
+    # as a left-unit row, drops the node if some x.r, x < r, is other than
+    # x or undefined; so in no rows 0..r it passes does a left-unit column
+    # l <= r hold some x.l other than x or undefined
 
     # (TestTotalityPrune and TestCancellationPrune hold the monoid, group
     # and groupoid walks to the poloid walk, and TestRightUnitPrune the
@@ -323,25 +326,62 @@ class TestUnitColumnPrune:
         assert len(found) == 973
 
 
+class TestFirstCellOfTheLeastTable:
+    # up to isomorphism the walk tries only 0 at cell 0 for a class whose
+    # laws include phi, and only 0 or undefined for semigroupoid; the
+    # labelled walks do not, so the least tables of their streams check
+    # the premise apart from the walk that uses it
+
+    @staticmethod
+    def least_tables(labelled_at_four, names):
+        for name in names:
+            for n in (1, 2, 3):
+                yield n, name, first_in_stream(filtered(n, name))
+            yield 4, name, labelled_at_four[name][1]
+
+    def test_classes_with_phi_start_with_zero(self, labelled_at_four):
+        # phi_x is a left unit and l.l = l: relabel that idempotent to 0
+        names = [name for name in VERDICT_NAMES if "phi" in CLASS_LAWS[name]]
+        for n, name, least in self.least_tables(labelled_at_four, names):
+            assert least and all(flat[0] == 0 for flat in least), (n, name)
+
+    def test_semigroupoids_start_with_zero_or_undefined(self, labelled_at_four):
+        # a defined x.x makes every power of x defined, and one of them is
+        # idempotent; a relabelling sends diagonal cells to diagonal cells
+        for n, name, least in self.least_tables(labelled_at_four, ["semigroupoid"]):
+            assert least, n
+            for flat in least:
+                assert flat[0] in (0, n), flat
+                assert (flat[0] == n) == all(flat[x * n + x] == n for x in range(n)), flat
+
+
 class TestWalkNodes:
     # the nodes each walk visits up to isomorphism at four elements; no
     # output shows a prune that fires a cell later, such as the value
     # loop's stop once x(yz) is undefined, so only these counts pin it
 
     NODES = {
-        "semigroupoid": 3772,
+        "semigroupoid": 3625,
         "right_directed_semigroupoid": 10743,
-        "right_poloid": 2824,
-        "normal": 2613,
-        "unit_posetal": 2613,
-        "poloid": 1320,
-        "monoid": 755,
-        "groupoid": 277,
-        "group": 55,
+        "right_poloid": 2681,
+        "normal": 2470,
+        "unit_posetal": 2470,
+        "poloid": 1084,
+        "monoid": 616,
+        "groupoid": 218,
+        "group": 31,
     }
+
+    # the labelled walks have no first-cell rule, so these pin the unit
+    # column at its cell apart from it
+    LABELLED_NODES = {"poloid": 15463, "monoid": 8639}
 
     def test_node_counts_at_four_elements(self):
         assert {name: walk_nodes(4, name, True) for name in self.NODES} == self.NODES
+
+    def test_labelled_node_counts_at_four_elements(self):
+        found = {name: walk_nodes(4, name, False) for name in self.LABELLED_NODES}
+        assert found == self.LABELLED_NODES
 
 
 class TestOracleChainAtFiveElements:
